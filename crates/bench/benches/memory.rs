@@ -17,7 +17,8 @@
 //!                   input clone dominates, aux is O(n));
 //! * `rinf_wr`     — RInf-wr on an n x n score matrix (input + output
 //!                   cells, no transposed copies);
-//! * `csls_stream` — streaming CSLS over the fused cosine path (O(n)
+//! * `csls_stream` — the CSLS preset through `MatchPipeline::execute`,
+//!                   which plans it onto the fused route (O(n·(d + k))
 //!                   state, the sub-quadratic contrast to the above);
 //! * `ivf_train` / `ivf_probe` — IVF-flat index build and search;
 //! * `pack_f32` / `pack_f16` / `pack_int8` — packed-operand footprint per
@@ -40,9 +41,7 @@
 use entmatcher_core::score::rinf::RInf;
 use entmatcher_core::score::sinkhorn::Sinkhorn;
 use entmatcher_core::score::ScoreOptimizer;
-use entmatcher_core::similarity::SimilarityMetric;
-use entmatcher_core::streaming::{streaming_aux_bytes, streaming_csls};
-use entmatcher_core::{IvfIndex, IvfParams};
+use entmatcher_core::{AlgorithmPreset, IvfIndex, IvfParams, MatchContext};
 use entmatcher_linalg::{
     matmul_blocked, pack_snapshot_stream, snapshot, Matrix, PackedAny, Precision,
 };
@@ -156,11 +155,14 @@ fn bench_scale(entries: &mut Vec<Entry>, n: usize) {
     );
     drop(scores);
 
-    // Streaming CSLS (fused cosine path): normalized copies + O(n) state.
-    let stream_model =
-        streaming_aux_bytes(n, n, 10, 1024, DIM) as u64 + (2 * n * DIM * 4) as u64;
+    // CSLS through the planned pipeline (fused route): normalized copies,
+    // packed operands and top-k heaps. The model is the report's own
+    // estimate, read from an unmeasured warm-up run.
+    let csls = AlgorithmPreset::Csls.build();
+    let ctx = MatchContext::default();
+    let stream_model = csls.execute(&a, &b, &ctx).peak_aux_bytes as u64;
     stage(entries, "csls_stream", n, stream_model, || {
-        black_box(streaming_csls(&a, &b, SimilarityMetric::Cosine, 10, 1024));
+        black_box(csls.execute(&a, &b, &ctx));
     });
 
     // IVF-flat: train (packed lists + k-means scratch), then probe.

@@ -221,9 +221,9 @@ fn shape_note(id: &str) -> Option<&'static str> {
              algorithms hit on non-1-to-1 gold links.",
         ),
         "ext-stream" => Some(
-            "**Extension (paper future direction 4):** streaming DInf/CSLS \
-             make bit-identical decisions to the dense pipelines with O(n) \
-             rather than O(n^2) memory.",
+            "**Extension (paper future direction 4):** the pipeline runs \
+             DInf/CSLS on its fused route, with bit-identical decisions to \
+             the dense composition in O(n·(d + k)) rather than O(n^2) memory.",
         ),
         "geom" => Some(
             "**Diagnostics (paper §3.3):** the raw embedding space exhibits \

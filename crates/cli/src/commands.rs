@@ -831,14 +831,15 @@ mod tests {
         }
         assert!(trace.counter("csls.neighborhoods").unwrap_or(0) > 0);
 
-        // The similarity product is large enough to take the blocked GEMM
-        // path, so the kernel counters must surface in the exported trace.
+        // CSLS + Greedy takes the fused route: the target is packed once
+        // and score tiles stream through the fused kernels, so those
+        // kernel counters must surface in the exported trace.
         assert!(
-            trace.counter("gemm.dispatch.blocked").unwrap_or(0) > 0,
-            "blocked-GEMM dispatch counter missing from trace"
+            trace.counter("fused.tiles").unwrap_or(0) > 0,
+            "fused-kernel tile counter missing from trace"
         );
+        assert!(trace.counter("fused.rows").unwrap_or(0) > 0);
         assert!(trace.counter("gemm.packed_bytes").unwrap_or(0) > 0);
-        assert!(trace.counter("gemm.tiles").unwrap_or(0) > 0);
 
         // `trace --file` renders the tree.
         let rendered = run(&["trace", "--file", trace_file.to_str().unwrap()]).unwrap();

@@ -5,14 +5,17 @@
 //! product — on the (caller-normalized) unit sphere that is exactly
 //! nearest-by-cosine. The assignment pass is the expensive part
 //! (`n x nlist x d` multiply-adds per iteration) and runs through
-//! [`entmatcher_linalg::fused_argmax_affine`], i.e. the same blocked/SIMD
-//! GEMM tiles as the exact similarity path; the mean update accumulates
+//! [`entmatcher_linalg::fused_argmax_affine_packed`] against the packed
+//! centroids, i.e. the same blocked/SIMD GEMM tiles as the exact
+//! similarity path; the mean update accumulates
 //! partial sums over fixed-size row chunks on the worker pool and reduces
 //! them in chunk order, so results are bit-identical for any
 //! `ENTMATCHER_THREADS` setting.
 
 use entmatcher_linalg::parallel::{par_map_rows_grained, par_row_chunks_mut_grained, Grain};
-use entmatcher_linalg::{fused_argmax_affine, normalize_rows_l2, Matrix};
+use entmatcher_linalg::{
+    fused_argmax_affine_packed, normalize_rows_l2, Matrix, PackedAny, Precision,
+};
 use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
 use entmatcher_support::telemetry;
 
@@ -154,10 +157,12 @@ fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> 
 }
 
 /// Nearest-centroid assignment by maximum dot product, streamed through
-/// the fused GEMM kernel. Ties break to the lowest centroid index
-/// (first-occurrence-wins, inherited from `fused_argmax_affine`).
+/// the fused GEMM kernel against the centroids packed once per pass. Ties
+/// break to the lowest centroid index (first-occurrence-wins, inherited
+/// from `fused_argmax_affine_packed`).
 fn assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
-    fused_argmax_affine(data, centroids, 1.0, None, None)
+    let packed = PackedAny::pack(centroids, Precision::F32);
+    fused_argmax_affine_packed(data, &packed, 1.0, None, None)
         .expect("kmeans operands share d by construction")
         .into_iter()
         .map(|best| best.expect("centroid set is non-empty"))

@@ -1,11 +1,12 @@
 //! Candidate blocking via random-hyperplane LSH — the second half of the
 //! scalability story (paper future direction 4).
 //!
-//! [`crate::streaming`] removes the quadratic *memory*; blocking removes
-//! the quadratic *time*: instead of scoring every source against every
-//! target, each source is compared only with targets sharing an LSH bucket
-//! in at least one of several hash tables. Random-hyperplane signatures
-//! approximate cosine similarity, so near-neighbours collide with high
+//! The pipeline's fused route ([`crate::Plan::Fused`]) removes the
+//! quadratic *memory*; blocking removes the quadratic *time*: instead of
+//! scoring every source against every target, each source is compared
+//! only with targets sharing an LSH bucket in at least one of several
+//! hash tables. Random-hyperplane signatures approximate cosine
+//! similarity, so near-neighbours collide with high
 //! probability while the bulk of the candidate space is never touched —
 //! the same role blocking/filtering plays in the ER literature the paper
 //! cites (Papadakis et al.).

@@ -17,8 +17,10 @@
 //!    matcher with coherence and exclusiveness rewards.
 //!
 //! Any metric x optimizer x matcher combination composes through
-//! [`MatchPipeline`]; the named presets of the paper's Table 2 are exposed
-//! as [`AlgorithmPreset`]s:
+//! [`MatchPipeline`], which plans each job onto the dense route (score
+//! matrix) or the fused route (score tiles reduced as they are computed,
+//! no matrix; see [`Plan`]); the named presets of the paper's Table 2 are
+//! exposed as [`AlgorithmPreset`]s:
 //!
 //! ```
 //! use entmatcher_core::{AlgorithmPreset, MatchContext};
@@ -41,7 +43,6 @@ pub mod score;
 pub mod serve;
 pub mod similarity;
 pub mod spec;
-pub mod streaming;
 
 pub use ann::{
     CandidateSource, ExactStreaming, IvfCandidates, IvfIndex, IvfParams, LshCandidates, Shortlist,
@@ -50,19 +51,16 @@ pub use blocking::LshBlocker;
 pub use error::CoreError;
 pub use matching::multi::{MultiMatching, ProbabilisticMatcher, ThresholdMatcher};
 pub use matching::{greedy::Greedy, hungarian::Hungarian, rl::RlMatcher, stable::StableMarriage};
-pub use matching::{MatchContext, Matcher, Matching};
-pub use pipeline::{CandidateStrategy, ExecutionReport, MatchPipeline};
+pub use matching::{FusedDecision, MatchContext, Matcher, Matching};
+pub use pipeline::{CandidateStrategy, ExecutionReport, MatchPipeline, Plan};
 pub use score::csls::Gid;
 pub use serve::{MatchService, Query, ServeConfig, TargetIndex, TopKResult};
 pub use score::{
-    csls::Csls, rinf::RInf, rinf::RInfProgressive, sinkhorn::Sinkhorn, NoOp, ScoreOptimizer,
+    csls::Csls, rinf::RInf, rinf::RInfProgressive, sinkhorn::Sinkhorn, FusedScores, NoOp,
+    ScoreOptimizer,
 };
 pub use similarity::{similarity_matrix, SimilarityMetric};
 pub use spec::{AlgorithmPreset, AlgorithmSpec, Direction};
-pub use streaming::{
-    streaming_csls, streaming_csls_at, streaming_csls_snapshot, streaming_greedy,
-    streaming_greedy_at, streaming_greedy_snapshot,
-};
 
 /// Result alias for fallible core operations.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -1,7 +1,7 @@
 //! Greedy matching (paper Algorithm 2): every source candidate takes its
 //! highest-scoring target, independently.
 
-use super::{MatchContext, Matcher, Matching};
+use super::{FusedDecision, MatchContext, Matcher, Matching};
 use entmatcher_linalg::parallel::{par_map_rows_grained, Grain};
 use entmatcher_linalg::{argmax, Matrix};
 
@@ -26,6 +26,10 @@ impl Matcher for Greedy {
 
     fn aux_bytes(&self, n_s: usize, _n_t: usize) -> usize {
         n_s * std::mem::size_of::<Option<u32>>()
+    }
+
+    fn fused(&self) -> Option<FusedDecision> {
+        Some(FusedDecision::RowArgmax)
     }
 }
 

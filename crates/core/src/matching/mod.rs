@@ -81,6 +81,22 @@ pub trait Matcher: Send + Sync {
     /// Estimated peak auxiliary heap bytes for an `n_s x n_t` instance
     /// (Figure 5 memory accounting).
     fn aux_bytes(&self, n_s: usize, n_t: usize) -> usize;
+
+    /// The decision rule this matcher applies, stated so the pipeline
+    /// planner can run it on the fused route. `None` (the default) keeps
+    /// the job on the dense route.
+    fn fused(&self) -> Option<FusedDecision> {
+        None
+    }
+}
+
+/// A matcher decision the fused kernels can make without the score
+/// matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedDecision {
+    /// Each source takes its highest-scoring target; the first index wins
+    /// ties and NaN never wins (Greedy).
+    RowArgmax,
 }
 
 #[cfg(test)]

@@ -3,6 +3,16 @@
 //! matcher, with wall-time and peak-auxiliary-memory instrumentation
 //! feeding the paper's efficiency analyses (Figure 5, Tables 6–8).
 //!
+//! [`MatchPipeline::execute`] is a planner with two routes ([`Plan`]).
+//! The dense route materializes the `n_s x n_t` score matrix and hands it
+//! to the optimizer and the matcher; every job can take it. The fused
+//! route streams score tiles through the fused kernels
+//! (`entmatcher_linalg::fused`) and reduces each tile at once, so no
+//! score matrix exists: O(n·(d + k)) memory instead of O(n²). It runs
+//! DInf and CSLS + Greedy (cosine, exact candidates, no dummies) at every
+//! precision, chosen through the optimizer's and the matcher's `fused`
+//! hooks, and its decisions equal the dense route's bit for bit.
+//!
 //! Stage timings are recorded as telemetry spans (`pipeline` with
 //! `similarity`/`optimize`/`match` children, plus a `pad` child under
 //! `match` when the dummy protocol runs); the [`ExecutionReport`] fields
@@ -14,11 +24,12 @@ use crate::ann::{
 };
 use crate::blocking::LshBlocker;
 use crate::dummy::pad_with_dummies;
-use crate::matching::{MatchContext, Matcher, Matching};
-use crate::score::ScoreOptimizer;
+use crate::matching::{FusedDecision, MatchContext, Matcher, Matching};
+use crate::score::{FusedScores, ScoreOptimizer};
 use crate::similarity::{similarity_matrix, SimilarityMetric};
 use entmatcher_linalg::{
-    matmul_blocked_packed, normalize_rows_l2, Matrix, PackedAny, Precision,
+    fused_argmax_affine_packed, fused_topk_means_packed, matmul_blocked_packed, normalize_rows_l2,
+    Matrix, PackedAny, Precision,
 };
 use entmatcher_support::telemetry;
 use std::time::Duration;
@@ -47,6 +58,21 @@ impl CandidateStrategy {
         }
     }
 }
+
+/// The route [`MatchPipeline::execute`] takes for a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// Materialize the `n_s x n_t` score matrix, then run the optimizer
+    /// and the matcher on it.
+    Dense,
+    /// Stream score tiles through the fused kernels against the target
+    /// packed once at the pipeline precision; no score matrix exists.
+    Fused(FusedScores),
+}
+
+/// Target rows per phi_t pass on the fused route: bounds the unpacked
+/// target block to `PHI_T_ROWS x d` floats.
+const PHI_T_ROWS: usize = 256;
 
 /// A composed matching pipeline.
 pub struct MatchPipeline {
@@ -86,6 +112,15 @@ pub struct MatchPipeline {
     pub precision: Precision,
 }
 
+/// What one route reports back to [`MatchPipeline::execute`].
+struct Stages {
+    matching: Matching,
+    similarity_time: Duration,
+    optimize_time: Duration,
+    match_time: Duration,
+    peak_aux_bytes: usize,
+}
+
 /// Outcome of one pipeline execution.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
@@ -93,14 +128,17 @@ pub struct ExecutionReport {
     pub matching: Matching,
     /// Wall-clock time of similarity + optimization + matching.
     pub elapsed: Duration,
-    /// Time spent computing the raw similarity matrix.
+    /// Time of the similarity stage: the raw score matrix on the dense
+    /// route; normalizing and packing the operands on the fused route.
     pub similarity_time: Duration,
     /// Time spent in the score optimizer.
     pub optimize_time: Duration,
     /// Time spent in the matcher (including dummy padding).
     pub match_time: Duration,
-    /// Estimated peak auxiliary heap bytes (score matrix + per-stage
-    /// overhead), the basis of the Figure 5 memory comparison.
+    /// Estimated peak auxiliary heap bytes of the route that ran (dense:
+    /// score matrix + per-stage overhead; fused: normalized copies, packed
+    /// operands and top-k heaps), the basis of the Figure 5 memory
+    /// comparison.
     pub peak_aux_bytes: usize,
     /// *Measured* peak live heap bytes over the whole pipeline span, from
     /// the counting allocator. 0 unless `ENTMATCHER_MEM` counting is on
@@ -208,12 +246,8 @@ impl MatchPipeline {
                 // reduced precision and run the dequantize-fused GEMM. The
                 // packed operand (the O(n·d) term) shrinks by the element
                 // width; the O(n²) score matrix is unchanged.
-                let mut s = source.clone();
-                let mut t = target.clone();
-                normalize_rows_l2(&mut s);
-                normalize_rows_l2(&mut t);
-                let packed = PackedAny::pack(&t, self.precision);
-                return matmul_blocked_packed(&s, &packed)
+                let packed = PackedAny::pack(&normalized(target), self.precision);
+                return matmul_blocked_packed(&normalized(source), &packed)
                     .expect("normalized copies share the embedding dimension");
             }
             (CandidateStrategy::Exact, _) | (_, SimilarityMetric::Euclidean)
@@ -236,11 +270,8 @@ impl MatchPipeline {
                 Box::new(IvfCandidates { params })
             }
         };
-        let mut s = source.clone();
-        let mut t = target.clone();
-        normalize_rows_l2(&mut s);
-        normalize_rows_l2(&mut t);
-        let shortlist = source_impl.shortlist(&s, &t, self.shortlist_k);
+        let shortlist =
+            source_impl.shortlist(&normalized(source), &normalized(target), self.shortlist_k);
         telemetry::add(
             "pipeline.shortlist.candidates",
             shortlist.iter().map(|hits| hits.len() as u64).sum(),
@@ -248,10 +279,47 @@ impl MatchPipeline {
         densify_shortlist(&shortlist, target.rows(), densify_fill(&shortlist))
     }
 
+    /// The route [`MatchPipeline::execute`] takes: fused when the metric
+    /// is cosine, candidates are exact, no dummies pad the matrix, the
+    /// optimizer has a [`FusedScores`] form and the matcher decides by
+    /// row argmax — at every precision. Dense otherwise. The optimizer's
+    /// and matcher's `fused` hooks decide, never their names.
+    pub fn plan(&self) -> Plan {
+        let fusable = self.metric == SimilarityMetric::Cosine
+            && matches!(self.candidates, CandidateStrategy::Exact)
+            && !self.pad_dummies
+            && self.matcher.fused() == Some(FusedDecision::RowArgmax);
+        match self.optimizer.fused() {
+            Some(scores) if fusable => Plan::Fused(scores),
+            _ => Plan::Dense,
+        }
+    }
+
     /// Runs the full pipeline on unified candidate embeddings
-    /// (`n_s x d` source rows, `n_t x d` target rows).
+    /// (`n_s x d` source rows, `n_t x d` target rows) on the route
+    /// [`MatchPipeline::plan`] picks.
     pub fn execute(&self, source: &Matrix, target: &Matrix, ctx: &MatchContext) -> ExecutionReport {
         let total_span = telemetry::span("pipeline");
+        let stages = match self.plan() {
+            Plan::Dense => self.run_dense(source, target, ctx),
+            Plan::Fused(scores) => self.run_fused(source, target, scores),
+        };
+        // Read the measured peak before `finish()` consumes the guard; the
+        // span record keeps the same value for exported traces.
+        let measured_heap_peak_bytes = total_span.heap_live_peak();
+        ExecutionReport {
+            matching: stages.matching,
+            elapsed: total_span.finish(),
+            similarity_time: stages.similarity_time,
+            optimize_time: stages.optimize_time,
+            match_time: stages.match_time,
+            peak_aux_bytes: stages.peak_aux_bytes,
+            measured_heap_peak_bytes,
+        }
+    }
+
+    /// The dense route: score matrix, optimizer, (padding,) matcher.
+    fn run_dense(&self, source: &Matrix, target: &Matrix, ctx: &MatchContext) -> Stages {
         let (n_s, n_t) = (source.rows(), target.rows());
         let padding = self.pad_dummies && n_s != n_t;
 
@@ -287,22 +355,92 @@ impl MatchPipeline {
         } else {
             self.matcher.run(&scores, ctx)
         };
-        let match_time = match_span.finish();
-
-        let peak_aux_bytes = sim_bytes + opt_bytes + matcher_bytes + pad_bytes;
-        // Read the measured peak before `finish()` consumes the guard; the
-        // span record keeps the same value for exported traces.
-        let measured_heap_peak_bytes = total_span.heap_live_peak();
-        ExecutionReport {
+        Stages {
             matching,
-            elapsed: total_span.finish(),
             similarity_time,
             optimize_time,
-            match_time,
-            peak_aux_bytes,
-            measured_heap_peak_bytes,
+            match_time: match_span.finish(),
+            peak_aux_bytes: sim_bytes + opt_bytes + matcher_bytes + pad_bytes,
         }
     }
+
+    /// The fused route. `similarity` normalizes both sides and packs the
+    /// target at the pipeline precision (the normalized target is freed
+    /// once packed); `optimize` computes the CSLS offsets, if any; `match`
+    /// streams the row argmax of `scale * s + offsets`.
+    fn run_fused(&self, source: &Matrix, target: &Matrix, scores: FusedScores) -> Stages {
+        assert_eq!(
+            source.cols(),
+            target.cols(),
+            "source and target embeddings must share a dimensionality"
+        );
+        let (n_s, n_t, d) = (source.rows(), target.rows(), source.cols());
+
+        let mut sim_span = telemetry::span("similarity");
+        let s = normalized(source);
+        let packed_t = PackedAny::pack(&normalized(target), self.precision);
+        let sim_bytes = (n_s + n_t) * d * 4 + packed_t.packed_bytes();
+        sim_span.add_bytes(sim_bytes as u64);
+        let similarity_time = sim_span.finish();
+
+        let mut opt_span = telemetry::span("optimize");
+        let (scale, offsets, opt_bytes) = match scores {
+            FusedScores::Raw => (1.0, None, 0),
+            FusedScores::Csls { k } => {
+                let bytes =
+                    n_s * d * 4 + PHI_T_ROWS.min(n_t) * d * 4 + n_s * k * 8 + (n_s + n_t) * 4;
+                (2.0, Some(csls_offsets(&s, &packed_t, k)), bytes)
+            }
+        };
+        opt_span.add_bytes(opt_bytes as u64);
+        let optimize_time = opt_span.finish();
+
+        let matcher_bytes = self.matcher.aux_bytes(n_s, n_t);
+        let mut match_span = telemetry::span("match");
+        match_span.add_bytes(matcher_bytes as u64);
+        let (row_off, col_off) = match &offsets {
+            Some((neg_s, neg_t)) => (Some(&neg_s[..]), Some(&neg_t[..])),
+            None => (None, None),
+        };
+        let picks = fused_argmax_affine_packed(&s, &packed_t, scale, row_off, col_off)
+            .expect("normalized copies share the embedding dimension");
+        Stages {
+            matching: Matching::new(picks),
+            similarity_time,
+            optimize_time,
+            match_time: match_span.finish(),
+            peak_aux_bytes: sim_bytes + opt_bytes + matcher_bytes,
+        }
+    }
+}
+
+/// An L2-row-normalized copy of `m`.
+fn normalized(m: &Matrix) -> Matrix {
+    let mut out = m.clone();
+    normalize_rows_l2(&mut out);
+    out
+}
+
+/// CSLS offsets `(-phi_s, -phi_t)` without the score matrix, for the
+/// decision `(2s + (-phi_s)) + (-phi_t)` — bitwise the dense
+/// `(2s - phi_s) - phi_t`. phi_t scores the target rows as the kernels see
+/// them (dequantized at f16/int8) against the f32-packed source: the
+/// products commute and the depth order is the same, so every score, and
+/// so every mean, equals the dense matrix's bit for bit. The packed source
+/// is freed when phi_t is done.
+fn csls_offsets(s: &Matrix, packed_t: &PackedAny, k: usize) -> (Vec<f32>, Vec<f32>) {
+    assert!(k >= 1, "CSLS requires k >= 1");
+    let n_t = packed_t.n();
+    let phi_s = fused_topk_means_packed(s, packed_t, k).expect("operands share d");
+    let packed_s = PackedAny::pack(s, Precision::F32);
+    let mut phi_t = Vec::with_capacity(n_t);
+    for start in (0..n_t).step_by(PHI_T_ROWS) {
+        let rows = packed_t.unpack_rows(start..(start + PHI_T_ROWS).min(n_t));
+        phi_t.extend(fused_topk_means_packed(&rows, &packed_s, k).expect("operands share d"));
+    }
+    telemetry::add("csls.neighborhoods", (s.rows() + n_t) as u64);
+    let negate = |phi: Vec<f32>| phi.into_iter().map(|v| -v).collect();
+    (negate(phi_s), negate(phi_t))
 }
 
 #[cfg(test)]
@@ -316,6 +454,228 @@ mod tests {
         // Three well-separated directions, shared by both sides.
         let m = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.707, 0.707]).unwrap();
         (m.clone(), m)
+    }
+
+    /// The dense composition the fused route replaces, spelled out layer
+    /// by layer: the score matrix (the quantized packed GEMM at f16/int8),
+    /// the optimizer, then Greedy.
+    fn dense_composition(
+        s: &Matrix,
+        t: &Matrix,
+        optimizer: &dyn ScoreOptimizer,
+        precision: Precision,
+    ) -> Matching {
+        let scores = match precision {
+            Precision::F32 => similarity_matrix(s, t, SimilarityMetric::Cosine),
+            p => {
+                matmul_blocked_packed(&normalized(s), &PackedAny::pack(&normalized(t), p)).unwrap()
+            }
+        };
+        Greedy.run(&optimizer.apply(scores), &MatchContext::default())
+    }
+
+    fn random_embeddings(n: usize, d: usize, seed: u64) -> Matrix {
+        use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(n, d, |_, _| rng.gen::<f32>() - 0.5)
+    }
+
+    /// Small integer rows with duplicates on both sides, so exact score
+    /// ties occur in argmax and at the top-k boundary.
+    fn tied_embeddings(n: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(n, 4, |r, c| (((r / 2) * 3 + c * 5 + salt) % 4) as f32 - 1.5)
+    }
+
+    /// Asserts the planned pipeline equals the dense composition bitwise
+    /// for DInf and CSLS{k} at every precision.
+    fn assert_plan_equivalence(s: &Matrix, t: &Matrix, k: usize, what: &str) {
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let jobs: [(Box<dyn ScoreOptimizer>, Box<dyn ScoreOptimizer>); 2] = [
+                (Box::new(NoOp), Box::new(NoOp)),
+                (Box::new(Csls { k }), Box::new(Csls { k })),
+            ];
+            for (optimizer, reference) in jobs {
+                let p = MatchPipeline::new(SimilarityMetric::Cosine, optimizer, Box::new(Greedy))
+                    .with_precision(precision);
+                assert!(
+                    matches!(p.plan(), Plan::Fused(_)),
+                    "{} must fuse",
+                    p.describe()
+                );
+                let planned = p.execute(s, t, &MatchContext::default()).matching;
+                let dense = dense_composition(s, t, reference.as_ref(), precision);
+                assert_eq!(
+                    planned,
+                    dense,
+                    "{what}: {} diverged from dense",
+                    p.describe()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plan_equivalence_on_random_rectangular_inputs() {
+        let s = random_embeddings(120, 16, 1);
+        let t = random_embeddings(90, 16, 2);
+        assert_plan_equivalence(&s, &t, 5, "n_s > n_t");
+        assert_plan_equivalence(&t, &s, 5, "n_s < n_t");
+        // More than one phi_t block of target rows.
+        let s = random_embeddings(70, 8, 3);
+        let t = random_embeddings(PHI_T_ROWS * 2 + 37, 8, 4);
+        assert_plan_equivalence(&s, &t, 10, "multi-block phi_t");
+    }
+
+    #[test]
+    fn plan_equivalence_of_csls_neighbourhoods() {
+        // The fused phi_s / phi_t are the dense matrix's row and column
+        // top-k means, bit for bit, at every precision — including the
+        // target side, whose rows are scored dequantized against the
+        // f32-packed source.
+        use entmatcher_linalg::rank::{col_top_k_means, top_k_mean};
+
+        let s = random_embeddings(90, 12, 11);
+        let t = random_embeddings(PHI_T_ROWS + 50, 12, 12);
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let dense = match precision {
+                Precision::F32 => similarity_matrix(&s, &t, SimilarityMetric::Cosine),
+                p => matmul_blocked_packed(&normalized(&s), &PackedAny::pack(&normalized(&t), p))
+                    .unwrap(),
+            };
+            let packed_t = PackedAny::pack(&normalized(&t), precision);
+            for k in [1usize, 7] {
+                let (neg_s, neg_t) = csls_offsets(&normalized(&s), &packed_t, k);
+                let phi_s: Vec<f32> = (0..s.rows())
+                    .map(|i| -top_k_mean(dense.row(i), k))
+                    .collect();
+                let phi_t: Vec<f32> = col_top_k_means(&dense, k).iter().map(|v| -v).collect();
+                assert_eq!(neg_s, phi_s, "{} k={k} phi_s", precision.name());
+                assert_eq!(neg_t, phi_t, "{} k={k} phi_t", precision.name());
+            }
+        }
+    }
+
+    #[test]
+    fn plan_equivalence_with_k_beyond_the_target_side() {
+        let s = random_embeddings(20, 6, 5);
+        let t = random_embeddings(7, 6, 6);
+        assert_plan_equivalence(&s, &t, 50, "k > n_t");
+    }
+
+    #[test]
+    fn plan_equivalence_on_tied_scores() {
+        let s = tied_embeddings(30, 0);
+        let t = tied_embeddings(26, 1);
+        assert_plan_equivalence(&s, &t, 3, "ties");
+        // Ties must resolve to the first target, as dense argmax does.
+        let m = MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy))
+            .execute(&s, &t, &MatchContext::default());
+        let twin = |j: u32| j & 1 == 0;
+        assert!(m.matching.assignment().iter().flatten().all(|&j| twin(j)));
+    }
+
+    #[test]
+    fn plan_equivalence_on_empty_sides() {
+        let some = random_embeddings(5, 4, 7);
+        let none = Matrix::zeros(0, 4);
+        assert_plan_equivalence(&some, &none, 3, "empty target");
+        assert_plan_equivalence(&none, &some, 3, "empty source");
+        assert_plan_equivalence(&none, &none, 3, "both empty");
+        let p = MatchPipeline::new(
+            SimilarityMetric::Cosine,
+            Box::new(Csls::default()),
+            Box::new(Greedy),
+        );
+        let r = p.execute(&some, &none, &MatchContext::default());
+        assert_eq!(r.matching.assignment(), &[None; 5]);
+    }
+
+    #[test]
+    fn planner_keeps_the_dense_route_where_fusion_does_not_apply() {
+        use crate::matching::stable::StableMarriage;
+        use crate::score::{rinf::RInf, sinkhorn::Sinkhorn};
+        use crate::spec::AlgorithmPreset;
+
+        for preset in AlgorithmPreset::all() {
+            let fused = matches!(preset, AlgorithmPreset::DInf | AlgorithmPreset::Csls);
+            for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+                let p = preset.build().with_precision(precision);
+                assert_eq!(
+                    matches!(p.plan(), Plan::Fused(_)),
+                    fused,
+                    "{} planned {:?}",
+                    p.describe(),
+                    p.plan()
+                );
+            }
+        }
+        let dinf =
+            || MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy));
+        assert_eq!(dinf().plan(), Plan::Fused(FusedScores::Raw));
+        let csls = MatchPipeline::new(
+            SimilarityMetric::Cosine,
+            Box::new(Csls { k: 4 }),
+            Box::new(Greedy),
+        );
+        assert_eq!(csls.plan(), Plan::Fused(FusedScores::Csls { k: 4 }));
+        let dense = [
+            MatchPipeline::new(
+                SimilarityMetric::Cosine,
+                Box::new(Sinkhorn::default()),
+                Box::new(Greedy),
+            ),
+            MatchPipeline::new(
+                SimilarityMetric::Cosine,
+                Box::new(RInf::default()),
+                Box::new(Greedy),
+            ),
+            MatchPipeline::new(
+                SimilarityMetric::Cosine,
+                Box::new(NoOp),
+                Box::new(Hungarian),
+            ),
+            MatchPipeline::new(
+                SimilarityMetric::Cosine,
+                Box::new(Csls::default()),
+                Box::new(Hungarian),
+            ),
+            MatchPipeline::new(
+                SimilarityMetric::Cosine,
+                Box::new(NoOp),
+                Box::new(StableMarriage),
+            ),
+            dinf().with_dummies(0.9),
+            dinf().with_candidates(CandidateStrategy::Lsh(LshBlocker::default()), 8),
+            dinf().with_candidates(CandidateStrategy::Ivf(IvfParams::default()), 8),
+            MatchPipeline::new(
+                SimilarityMetric::Euclidean,
+                Box::new(NoOp),
+                Box::new(Greedy),
+            ),
+            MatchPipeline::new(
+                SimilarityMetric::Manhattan,
+                Box::new(Csls::default()),
+                Box::new(Greedy),
+            ),
+        ];
+        for p in dense {
+            assert_eq!(p.plan(), Plan::Dense, "{} must stay dense", p.describe());
+        }
+    }
+
+    #[test]
+    fn dense_route_still_serves_distance_metrics() {
+        let s = random_embeddings(40, 8, 9);
+        let t = random_embeddings(55, 8, 10);
+        for metric in [SimilarityMetric::Euclidean, SimilarityMetric::Manhattan] {
+            let p = MatchPipeline::new(metric, Box::new(Csls { k: 4 }), Box::new(Greedy));
+            let r = p.execute(&s, &t, &MatchContext::default());
+            let dense = Greedy.run(
+                &Csls { k: 4 }.apply(similarity_matrix(&s, &t, metric)),
+                &MatchContext::default(),
+            );
+            assert_eq!(r.matching, dense, "{}", metric.name());
+        }
     }
 
     #[test]

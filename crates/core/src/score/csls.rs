@@ -10,7 +10,7 @@
 //! side. Hubs (dense neighbourhoods, high phi) are damped; isolated points
 //! are boosted.
 
-use super::ScoreOptimizer;
+use super::{FusedScores, ScoreOptimizer};
 use entmatcher_linalg::parallel::{par_map_rows_grained, par_row_chunks_mut, Grain};
 use entmatcher_linalg::rank::{col_top_k_means, top_k_mean};
 use entmatcher_linalg::Matrix;
@@ -71,6 +71,10 @@ impl ScoreOptimizer for Csls {
         // phi vectors. Linear in n — the former n_s * n_t transposed copy
         // is gone (the column pass streams the matrix in place).
         n_t * self.k * 8 + (n_s + n_t) * 4
+    }
+
+    fn fused(&self) -> Option<FusedScores> {
+        Some(FusedScores::Csls { k: self.k })
     }
 }
 

@@ -22,6 +22,27 @@ pub trait ScoreOptimizer: Send + Sync {
     /// (input + output live simultaneously where applicable) is counted by
     /// the caller; this reports *extra* allocations.
     fn aux_bytes(&self, n_s: usize, n_t: usize) -> usize;
+
+    /// What this optimizer computes, stated so the pipeline planner can
+    /// run it on the fused route, from score tiles that are never stored.
+    /// `None` (the default) keeps the job on the dense route.
+    fn fused(&self) -> Option<FusedScores> {
+        None
+    }
+}
+
+/// An optimizer output the fused kernels can produce without the
+/// `n_s x n_t` score matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedScores {
+    /// The raw similarity scores (DInf).
+    Raw,
+    /// `2s - phi_s - phi_t`, where phi is the mean of an entity's top-`k`
+    /// scores against the other side (CSLS).
+    Csls {
+        /// Neighbourhood size.
+        k: usize,
+    },
 }
 
 /// The identity optimizer: raw similarity scores straight to the matcher
@@ -40,6 +61,10 @@ impl ScoreOptimizer for NoOp {
 
     fn aux_bytes(&self, _n_s: usize, _n_t: usize) -> usize {
         0
+    }
+
+    fn fused(&self) -> Option<FusedScores> {
+        Some(FusedScores::Raw)
     }
 }
 

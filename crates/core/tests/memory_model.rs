@@ -5,8 +5,8 @@
 //! The envelopes are deliberately loose (small-n runs carry allocator
 //! headers, `Vec` growth slack, and per-call bookkeeping the models
 //! ignore) but directional claims are pinned hard: in-place stages must
-//! measure far below the matrix they operate on, streaming stages must
-//! measure linear in `n` rather than quadratic, and the full-RInf
+//! measure far below the matrix they operate on, the fused pipeline route
+//! must measure linear in `n` rather than quadratic, and the full-RInf
 //! transposed copies must actually show up on the heap.
 //!
 //! Every measurement forces `ENTMATCHER_THREADS=1` (set before the global
@@ -15,14 +15,14 @@
 //! serializes on one lock — the counting switch is process-global.
 
 use entmatcher_core::matching::greedy::Greedy;
+use entmatcher_core::matching::hungarian::Hungarian;
 use entmatcher_core::matching::MatchContext;
-use entmatcher_core::pipeline::MatchPipeline;
+use entmatcher_core::pipeline::{MatchPipeline, Plan};
 use entmatcher_core::score::csls::Csls;
 use entmatcher_core::score::rinf::RInf;
 use entmatcher_core::score::sinkhorn::Sinkhorn;
 use entmatcher_core::score::ScoreOptimizer;
 use entmatcher_core::similarity::SimilarityMetric;
-use entmatcher_core::streaming::{streaming_aux_bytes, streaming_csls};
 use entmatcher_core::IvfIndex;
 use entmatcher_core::IvfParams;
 use entmatcher_linalg::{matmul_blocked, Matrix, PackedAny, Precision};
@@ -138,42 +138,55 @@ fn rinf_variants_measured_against_their_models() {
     );
 }
 
-/// Streaming CSLS measured peak tracks `streaming_aux_bytes` and — the
-/// scalability claim — grows linearly in `n`, not quadratically.
+/// CSLS + Greedy takes the fused route: its measured peak stays within
+/// the report's modeled `peak_aux_bytes`, below one `n_s x n_t` score
+/// matrix, and — the scalability claim — grows linearly in `n`, not
+/// quadratically.
 #[test]
-fn streaming_csls_measured_linear_in_n() {
+fn fused_csls_pipeline_measured_linear_in_n() {
     let _lock = locked();
-    let (d, k, block) = (32usize, 5usize, 128usize);
+    let d = 32usize;
+    let p = MatchPipeline::new(
+        SimilarityMetric::Cosine,
+        Box::new(Csls { k: 5 }),
+        Box::new(Greedy),
+    );
+    assert!(
+        matches!(p.plan(), Plan::Fused(_)),
+        "CSLS + Greedy must fuse"
+    );
     let run = |n: usize, seed: u64| {
         let s = random_embeddings(n, d, seed);
         let t = random_embeddings(n, d, seed + 1);
-        // Distance metric: the strip-at-a-time path whose footprint
-        // streaming_aux_bytes models directly.
-        measured("mem.csls_stream", || {
-            streaming_csls(&s, &t, SimilarityMetric::Euclidean, k, block)
-        })
+        let mut model = 0u64;
+        let peak = measured("mem.csls_fused", || {
+            let r = p.execute(&s, &t, &MatchContext::default());
+            model = r.peak_aux_bytes as u64;
+            r
+        });
+        (peak, model)
     };
-    let p1 = run(256, 5);
-    let p2 = run(512, 7);
-    let model = streaming_aux_bytes(512, 512, k, block, d) as u64;
+    let (p1, _) = run(256, 5);
+    let (p2, model) = run(512, 7);
+    let copies = (2 * 512 * d * 4) as u64;
     assert!(
-        p2 >= (block * 512 * 4) as u64,
-        "one similarity strip must be measurable: {p2} B"
+        p2 >= copies,
+        "the normalized source copy and the packed target must be measurable: {p2} B"
     );
     assert!(
-        p2 <= 3 * model + SLACK,
-        "streaming CSLS modeled {model} B; measured {p2} B"
+        p2 <= 2 * model + SLACK,
+        "fused CSLS modeled {model} B; measured {p2} B"
     );
-    // Doubling n must not quadruple the peak: the strip, heaps, and
-    // per-source state are all linear (a dense pass would scale 4x).
+    // Doubling n must not quadruple the peak: copies, packed operands and
+    // heaps are all linear (a dense pass would scale 4x).
     assert!(
         p2 < 3 * p1,
         "peak must scale linearly: n=256 -> {p1} B, n=512 -> {p2} B"
     );
-    let dense = (512u64 * 512 * 4) * 2; // corrected + raw matrices
+    let matrix = 512u64 * 512 * 4;
     assert!(
-        p2 < dense,
-        "streaming CSLS ({p2} B) must undercut the dense footprint ({dense} B)"
+        p2 < matrix,
+        "fused CSLS ({p2} B) must undercut one dense score matrix ({matrix} B)"
     );
 }
 
@@ -304,6 +317,7 @@ fn snapshot_stream_pack_peaks_at_chunk_not_matrix() {
 /// End-to-end: `ExecutionReport::measured_heap_peak_bytes` is populated
 /// from the pipeline span, covers the score matrix, sits inside the
 /// modeled `peak_aux_bytes` envelope, and agrees with the exported trace.
+/// CSLS + Hungarian keeps the dense route, so the n² matrix is real.
 #[test]
 fn pipeline_report_measures_heap_within_modeled_envelope() {
     use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
@@ -321,7 +335,12 @@ fn pipeline_report_measures_heap_within_modeled_envelope() {
     let p = MatchPipeline::new(
         SimilarityMetric::Cosine,
         Box::new(Csls::default()),
-        Box::new(Greedy),
+        Box::new(Hungarian),
+    );
+    assert_eq!(
+        p.plan(),
+        Plan::Dense,
+        "CSLS + Hungarian needs the score matrix"
     );
 
     // Counting off: the measured field must stay zero.

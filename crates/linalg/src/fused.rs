@@ -9,24 +9,28 @@
 //! `O(m*k + tile)` while the scores themselves stay bit-identical to the
 //! dense kernel (both accumulate depth in the same sequential order).
 //!
-//! Entry points:
-//! * [`fused_topk`] — per-row top-k `(index, score)` lists;
-//! * [`fused_topk_means`] — per-row mean of the top-k scores (the CSLS
-//!   neighbourhood statistic phi);
-//! * [`fused_argmax_affine`] — per-row argmax of
-//!   `scale * s(i,j) + row_off[i] + col_off[j]`, which covers streaming
-//!   Greedy (`scale = 1`, no offsets) and the CSLS decision pass
-//!   (`scale = 2`, offsets `-phi`).
+//! Entry points, each against a pre-packed right operand ([`PackedAny`],
+//! any precision) so callers pack once and scan many times:
+//! * [`fused_topk_packed`] — per-row top-k `(index, score)` lists
+//!   ([`fused_topk`] packs an f32 `Matrix` and calls it);
+//! * [`fused_topk_means_packed`] — per-row mean of the top-k scores (the
+//!   CSLS neighbourhood statistic phi);
+//! * [`fused_argmax_affine_packed`] — per-row argmax of
+//!   `scale * s(i,j) + row_off[i] + col_off[j]`, which covers Greedy
+//!   (`scale = 1`, no offsets) and the CSLS decision pass (`scale = 2`,
+//!   offsets `-phi`).
 //!
-//! All of them take *embedding* operands and compute dot-product scores;
-//! for cosine similarity, L2-normalize the operands first.
+//! All of them compute dot-product scores of embedding rows; for cosine
+//! similarity, L2-normalize the operands first.
 //!
 //! Telemetry (when enabled): `fused.tiles`, `fused.rows`.
 
 use crate::error::LinalgError;
-use crate::gemm::{tile_into, tile_stride, PackedB, PackedOperand, NR};
+use crate::gemm::{tile_into, tile_stride, NR};
 use crate::matrix::Matrix;
+use crate::packed::PackedAny;
 use crate::parallel::{par_row_chunks_mut_grained, Grain};
+use crate::quant::Precision;
 use crate::Result;
 use entmatcher_support::telemetry;
 
@@ -157,42 +161,27 @@ impl TopKAccumulator {
     }
 }
 
-fn check_dims(op: &'static str, a: &Matrix, b: &Matrix) -> Result<()> {
-    if a.cols() != b.cols() {
+/// Rejects a left operand whose width differs from the packed depth.
+fn check_dims(op: &'static str, a: &Matrix, packed: &PackedAny) -> Result<()> {
+    if a.cols() != packed.d() {
         return Err(LinalgError::DimMismatch {
             op,
             left: a.shape(),
-            right: b.shape(),
+            right: (packed.n(), packed.d()),
         });
     }
     Ok(())
 }
 
-/// Streams score tiles of `A * B^T` and hands each one to `visit`:
+/// Streams score tiles of `A * P^T` and hands each one to `visit`:
 /// `visit(state, global_row, col0, scores)` is called once per
 /// (tile pass, row) with the scored slice for columns
 /// `col0..col0+scores.len()`. Columns arrive in ascending order for every
-/// row.
+/// row. Quantized payloads dequantize inside the register block, so the
+/// scratch tile is the only f32 copy that ever exists.
 fn fused_scan<S: Send + Default + Clone>(
     a: &Matrix,
-    b: &Matrix,
-    visit: impl Fn(&mut S, usize, usize, &[f32]) + Sync,
-) -> Vec<S> {
-    if a.rows() == 0 || b.rows() == 0 {
-        telemetry::add("fused.rows", a.rows() as u64);
-        return vec![S::default(); a.rows()];
-    }
-    fused_scan_packed(a, &PackedB::pack(b), visit)
-}
-
-/// [`fused_scan`] against a *pre-packed* right operand — the entry point
-/// for callers that amortize packing across many scans (e.g. ANN inverted
-/// lists stored directly as packed strips). Generic over the operand's
-/// storage precision: quantized payloads dequantize inside the register
-/// block, so the scratch tile is the only f32 copy that ever exists.
-fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
+    packed: &PackedAny,
     visit: impl Fn(&mut S, usize, usize, &[f32]) + Sync,
 ) -> Vec<S> {
     let m = a.rows();
@@ -206,7 +195,6 @@ fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
     let stride = tile_stride(pass_strips);
     let tiles = std::sync::atomic::AtomicU64::new(0);
     let visit = &visit;
-    let packed_ref = packed;
     // One state item scans the entire packed operand (n * d work); never
     // split tasks below the streaming tile height.
     let grain = Grain::for_item_cost(packed.n().saturating_mul(packed.d().max(1)))
@@ -223,15 +211,7 @@ fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
             let mut r0 = 0usize;
             while r0 < rows {
                 let height = TILE_ROWS.min(rows - r0);
-                let (width, t) = tile_into(
-                    a,
-                    start_row + r0,
-                    height,
-                    packed_ref,
-                    s0,
-                    s1,
-                    &mut scratch,
-                );
+                let (width, t) = tile_into(a, start_row + r0, height, packed, s0, s1, &mut scratch);
                 local_tiles += t;
                 for local in 0..height {
                     let row_scores = &scratch[local * pass_stride..local * pass_stride + width];
@@ -248,108 +228,48 @@ fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
     state
 }
 
+/// Per-row bounded top-`k` heaps of `A * P^T` (`None` for rows that saw
+/// no score).
+fn topk_scan(a: &Matrix, packed: &PackedAny, k: usize) -> Vec<Option<TopKAccumulator>> {
+    fused_scan::<Option<TopKAccumulator>>(a, packed, |st, _row, col0, scores| {
+        let acc = st.get_or_insert_with(|| TopKAccumulator::new(k));
+        for (j, &v) in scores.iter().enumerate() {
+            acc.push((col0 + j) as u32, v);
+        }
+    })
+}
+
 /// For each row of `a`, the top-`k` scoring rows of `b` as
 /// `(index, score)` pairs, best first — without materializing the `m x n`
 /// score matrix. Scores are raw dot products (normalize for cosine).
 pub fn fused_topk(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<Vec<(u32, f32)>>> {
-    check_dims("fused_topk", a, b)?;
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan::<St>(a, b, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.map(TopKAccumulator::into_sorted_desc).unwrap_or_default())
-        .collect())
+    fused_topk_packed(a, &PackedAny::pack(b, Precision::F32), k)
 }
 
-/// [`fused_topk`] against a *pre-packed* right operand: per-row top-`k`
-/// `(index, score)` pairs of `A * P^T`, best first. Packing cost is paid
-/// once by the caller and amortized over many scans — the tile path
-/// (register blocks, SIMD dispatch, bounded heaps) is identical to
-/// [`fused_topk`], so the scores are bit-identical to the dense product of
-/// `a` with the matrix `P` was packed from (its *dequantized* matrix for
+/// Per-row top-`k` `(index, score)` pairs of `A * P^T`, best first.
+/// Packing cost is paid once by the caller and amortized over many scans;
+/// the scores are bit-identical to the dense product of `a` with the
+/// matrix `P` was packed from (its *dequantized* matrix for
 /// reduced-precision operands).
-pub fn fused_topk_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    k: usize,
-) -> Result<Vec<Vec<(u32, f32)>>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_topk_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan_packed::<St, P>(a, packed, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
+pub fn fused_topk_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec<Vec<(u32, f32)>>> {
+    check_dims("fused_topk_packed", a, packed)?;
+    Ok(topk_scan(a, packed, k)
         .into_iter()
-        .map(|st| st.0.map(TopKAccumulator::into_sorted_desc).unwrap_or_default())
+        .map(|acc| {
+            acc.map(TopKAccumulator::into_sorted_desc)
+                .unwrap_or_default()
+        })
         .collect())
 }
 
-/// For each row of `a`, the mean of its top-`k` scores against `b` — the
+/// For each row of `a`, the mean of its top-`k` scores against `P` — the
 /// CSLS neighbourhood statistic — computed tile-streamed. Equals
 /// [`crate::rank::top_k_mean`] over the dense score row.
-pub fn fused_topk_means(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<f32>> {
-    check_dims("fused_topk_means", a, b)?;
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan::<St>(a, b, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.as_ref().map(TopKAccumulator::mean).unwrap_or(0.0))
-        .collect())
-}
-
-/// [`fused_topk_means`] against a *pre-packed* right operand (any
-/// [`PackedOperand`] precision): packing is paid once by the caller and
-/// shared with the decision pass, which at reduced precision also shrinks
-/// the resident operand by the element-width ratio.
-pub fn fused_topk_means_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    k: usize,
-) -> Result<Vec<f32>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_topk_means_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan_packed::<St, P>(a, packed, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.as_ref().map(TopKAccumulator::mean).unwrap_or(0.0))
+pub fn fused_topk_means_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec<f32>> {
+    check_dims("fused_topk_means_packed", a, packed)?;
+    Ok(topk_scan(a, packed, k)
+        .iter()
+        .map(|acc| acc.as_ref().map_or(0.0, TopKAccumulator::mean))
         .collect())
 }
 
@@ -359,60 +279,14 @@ pub fn fused_topk_means_packed<P: PackedOperand + ?Sized>(
 /// and NaN never wins, matching [`crate::rank::argmax`]. The evaluation
 /// order is fixed so the corrected values are bit-identical to the dense
 /// CSLS expression `(2s - phi_u) - phi_v` when called with negated phis.
-pub fn fused_argmax_affine(
+pub fn fused_argmax_affine_packed(
     a: &Matrix,
-    b: &Matrix,
+    packed: &PackedAny,
     scale: f32,
     row_off: Option<&[f32]>,
     col_off: Option<&[f32]>,
 ) -> Result<Vec<Option<u32>>> {
-    check_dims("fused_argmax_affine", a, b)?;
-    if let Some(off) = row_off {
-        assert_eq!(off.len(), a.rows(), "row offset length mismatch");
-    }
-    if let Some(off) = col_off {
-        assert_eq!(off.len(), b.rows(), "col offset length mismatch");
-    }
-    #[derive(Clone)]
-    struct Best(Option<u32>, f32);
-    impl Default for Best {
-        fn default() -> Self {
-            Best(None, f32::NEG_INFINITY)
-        }
-    }
-    let state = fused_scan::<Best>(a, b, |best, row, col0, scores| {
-        let ro = row_off.map_or(0.0, |off| off[row]);
-        for (j, &s) in scores.iter().enumerate() {
-            let col = col0 + j;
-            let mut v = scale * s + ro;
-            if let Some(off) = col_off {
-                v += off[col];
-            }
-            if v > best.1 {
-                *best = Best(Some(col as u32), v);
-            }
-        }
-    });
-    Ok(state.into_iter().map(|b| b.0).collect())
-}
-
-/// [`fused_argmax_affine`] against a *pre-packed* right operand (any
-/// [`PackedOperand`] precision) — lets the streaming decision pass reuse
-/// the packed (possibly quantized) operand the statistics pass built.
-pub fn fused_argmax_affine_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    scale: f32,
-    row_off: Option<&[f32]>,
-    col_off: Option<&[f32]>,
-) -> Result<Vec<Option<u32>>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_argmax_affine_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
+    check_dims("fused_argmax_affine_packed", a, packed)?;
     if let Some(off) = row_off {
         assert_eq!(off.len(), a.rows(), "row offset length mismatch");
     }
@@ -426,7 +300,7 @@ pub fn fused_argmax_affine_packed<P: PackedOperand + ?Sized>(
             Best(None, f32::NEG_INFINITY)
         }
     }
-    let state = fused_scan_packed::<Best, P>(a, packed, |best, row, col0, scores| {
+    let state = fused_scan::<Best>(a, packed, |best, row, col0, scores| {
         let ro = row_off.map_or(0.0, |off| off[row]);
         for (j, &s) in scores.iter().enumerate() {
             let col = col0 + j;
@@ -447,6 +321,10 @@ mod tests {
     use super::*;
     use crate::ops::matmul_naive;
     use crate::rank::{argmax, top_k_desc, top_k_mean};
+
+    fn pack(b: &Matrix) -> PackedAny {
+        PackedAny::pack(b, Precision::F32)
+    }
 
     fn seq_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -500,21 +378,25 @@ mod tests {
     }
 
     #[test]
-    fn fused_topk_packed_matches_unpacked() {
+    fn fused_topk_packed_scores_the_dequantized_operand() {
         let a = seq_matrix(14, 7, 11);
         let b = seq_matrix(37, 7, 12);
-        let packed = PackedB::pack(&b);
-        for k in [1usize, 4, 50] {
-            assert_eq!(
-                fused_topk_packed(&a, &packed, k).unwrap(),
-                fused_topk(&a, &b, k).unwrap(),
-                "k={k}"
-            );
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let packed = PackedAny::pack(&b, precision);
+            let roundtripped = crate::quant::quantize_roundtrip(&b, precision);
+            for k in [1usize, 4, 50] {
+                assert_eq!(
+                    fused_topk_packed(&a, &packed, k).unwrap(),
+                    fused_topk(&a, &roundtripped, k).unwrap(),
+                    "{} k={k}",
+                    precision.name()
+                );
+            }
         }
-        // Degenerate shapes and dim mismatch behave like the unpacked API.
-        let empty = PackedB::pack(&Matrix::zeros(0, 7));
+        // Degenerate shapes and dim mismatch.
+        let empty = pack(&Matrix::zeros(0, 7));
         assert_eq!(fused_topk_packed(&a, &empty, 3).unwrap(), vec![vec![]; 14]);
-        let wrong = PackedB::pack(&Matrix::zeros(4, 9));
+        let wrong = pack(&Matrix::zeros(4, 9));
         assert!(fused_topk_packed(&a, &wrong, 3).is_err());
     }
 
@@ -524,7 +406,7 @@ mod tests {
         let b = seq_matrix(30, 9, 4);
         let dense = matmul_naive(&a, &b).unwrap();
         for k in [1usize, 3, 10, 100] {
-            let fused = fused_topk_means(&a, &b, k).unwrap();
+            let fused = fused_topk_means_packed(&a, &pack(&b), k).unwrap();
             for i in 0..a.rows() {
                 let want = top_k_mean(dense.row(i), k);
                 assert!(
@@ -541,7 +423,7 @@ mod tests {
         let a = seq_matrix(19, 6, 5);
         let b = seq_matrix(27, 6, 6);
         let dense = matmul_naive(&a, &b).unwrap();
-        let fused = fused_argmax_affine(&a, &b, 1.0, None, None).unwrap();
+        let fused = fused_argmax_affine_packed(&a, &pack(&b), 1.0, None, None).unwrap();
         for i in 0..a.rows() {
             assert_eq!(fused[i].map(|j| j as usize), argmax(dense.row(i)), "row {i}");
         }
@@ -553,7 +435,7 @@ mod tests {
         let b = seq_matrix(12, 5, 8);
         let dense = matmul_naive(&a, &b).unwrap();
         let col_off: Vec<f32> = (0..12).map(|j| (j as f32) * -0.35).collect();
-        let fused = fused_argmax_affine(&a, &b, 2.0, None, Some(&col_off)).unwrap();
+        let fused = fused_argmax_affine_packed(&a, &pack(&b), 2.0, None, Some(&col_off)).unwrap();
         for i in 0..a.rows() {
             let corrected: Vec<f32> = dense
                 .row(i)
@@ -570,9 +452,12 @@ mod tests {
         let a = seq_matrix(4, 3, 9);
         let empty = Matrix::zeros(0, 3);
         assert_eq!(fused_topk(&a, &empty, 3).unwrap(), vec![vec![]; 4]);
-        assert_eq!(fused_topk_means(&a, &empty, 3).unwrap(), vec![0.0; 4]);
         assert_eq!(
-            fused_argmax_affine(&a, &empty, 1.0, None, None).unwrap(),
+            fused_topk_means_packed(&a, &pack(&empty), 3).unwrap(),
+            vec![0.0; 4]
+        );
+        assert_eq!(
+            fused_argmax_affine_packed(&a, &pack(&empty), 1.0, None, None).unwrap(),
             vec![None; 4]
         );
         let no_rows = Matrix::zeros(0, 3);
@@ -584,7 +469,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         assert!(fused_topk(&a, &b, 1).is_err());
-        assert!(fused_topk_means(&a, &b, 1).is_err());
-        assert!(fused_argmax_affine(&a, &b, 1.0, None, None).is_err());
+        assert!(fused_topk_means_packed(&a, &pack(&b), 1).is_err());
+        assert!(fused_argmax_affine_packed(&a, &pack(&b), 1.0, None, None).is_err());
     }
 }

@@ -12,7 +12,8 @@
 //! row/column normalization) are kept local so the evaluation harness can
 //! account for every byte of auxiliary memory (paper Figure 5). The
 //! similarity hot path is a proper blocked GEMM ([`gemm`]: packed panels,
-//! register tiling, L2 cache blocking) plus fused streaming
+//! register tiling, L2 cache blocking) against one packed operand type
+//! ([`packed::PackedAny`], f32/f16/int8 payloads) plus fused streaming
 //! similarity -> top-k kernels ([`fused`]) that never materialize the
 //! dense score matrix; both produce bit-identical scores to the naive
 //! reference kernel. The micro-kernel is runtime-dispatched ([`simd`]):
@@ -32,6 +33,7 @@ pub mod fused;
 pub mod gemm;
 pub mod matrix;
 pub mod ops;
+pub mod packed;
 pub mod parallel;
 pub mod quant;
 pub mod rank;
@@ -41,17 +43,14 @@ pub mod stats;
 
 pub use error::LinalgError;
 pub use fused::{
-    fused_argmax_affine, fused_argmax_affine_packed, fused_topk, fused_topk_means,
-    fused_topk_means_packed, fused_topk_packed, TopKAccumulator,
+    fused_argmax_affine_packed, fused_topk, fused_topk_means_packed, fused_topk_packed,
+    TopKAccumulator,
 };
 pub use gemm::{
     matmul_blocked, matmul_blocked_packed, matmul_blocked_packed_with, matmul_blocked_with,
-    PackedB, PackedOperand,
 };
-pub use quant::{
-    pack_snapshot_stream, quantize_roundtrip, PackedAny, PackedBuilder, Precision, QuantPackedB,
-    QuantizedMatrix,
-};
+pub use packed::{pack_snapshot_stream, PackedAny, PackedBuilder};
+pub use quant::{quantize_roundtrip, Precision, QuantizedMatrix};
 pub use simd::SimdLevel;
 pub use matrix::Matrix;
 pub use ops::{dot, l2_norm, matmul_naive, matmul_transposed, normalize_rows_l2};

@@ -1,4 +1,4 @@
-//! Row-quantized embedding storage and dequantize-fused GEMM operands.
+//! Reduced-precision embedding storage: f16 and per-row int8.
 //!
 //! Embedding matchers die on RAM, not FLOPs, at DWY100K scale (paper
 //! Table 6): the `B` operand of every similarity pass is `n x d` f32s that
@@ -14,37 +14,18 @@
 //!   end of the scale. 1 byte/element + one f32 scale per row, max abs
 //!   error `scale/2` within the row's range.
 //!
-//! [`QuantPackedB`] mirrors [`PackedB`]'s strip-transposed layout
-//! (`payload[s*d*NR + dd*NR + l] = Q(B[s*NR+l][dd])`, zero-padded tails)
-//! with element-width-sized buffers, so panel sizing holds more strips per
-//! L2 panel at narrower widths, and implements
-//! [`PackedOperand`] with dequantize-fused micro-kernels: the scalar
-//! reference dequantizes one depth-chunk of `NR` lanes into registers and
-//! accumulates in strict depth order; the AVX2 kernels
-//! ([`crate::simd::micro_avx2_f16`] via F16C, [`crate::simd::micro_avx2_i8`]
-//! via `cvtepi8_epi32`) perform the *same per-lane operation sequence*
-//! (convert → scale-multiply → multiply → add, each a single IEEE rounding)
-//! and are therefore bitwise identical to the scalar kernel — the same
-//! discipline as [`crate::simd`]. Dispatch follows `ENTMATCHER_SIMD`;
-//! the FMA opt-in applies only to the f32 kernel (quantized kernels always
-//! use separate mul+add and stay exact vs their scalar reference).
-//!
-//! [`PackedBuilder`] packs in row chunks so snapshots can stream from disk
-//! ([`pack_snapshot_stream`]): a strip depends only on its own [`NR`]
-//! consecutive rows, so aux memory during packing is O(chunk), independent
-//! of snapshot size.
+//! The packed GEMM operand stores these payloads in strips
+//! ([`crate::PackedAny`]) and dequantizes inside the register block with
+//! the exact operation sequence of the f32 kernel, so its scores equal the
+//! f32 scores against [`quantize_roundtrip`] of the operand, bit for bit.
+//! [`QuantizedMatrix`] is the row-store form, used for accuracy round
+//! trips.
 //!
 //! Telemetry (when enabled): `quant.pack` span, `quant.packed_bytes`,
-//! `quant.rows`, `quant.stream.chunks`; `quant.dequant` span +
-//! `quant.dequant_bytes`.
+//! `quant.rows`; `quant.dequant` span + `quant.dequant_bytes`.
 
-use crate::error::LinalgError;
-use crate::gemm::{PackedB, PackedOperand, MR, NR, PANEL_BYTES};
 use crate::matrix::Matrix;
 use crate::parallel::{par_row_chunks_mut_grained, Grain};
-use crate::simd::SimdLevel;
-use crate::snapshot::SnapshotReader;
-use crate::Result;
 use entmatcher_support::telemetry;
 
 /// Storage precision for embedding operands.
@@ -210,8 +191,8 @@ pub fn dequantize_value_int8(q: i8, scale: f32) -> f32 {
 // ---------------------------------------------------------------------------
 
 /// A row-major matrix stored at reduced precision: the row-store
-/// counterpart of [`QuantPackedB`], used for the left/source operand and
-/// for accuracy round-trips.
+/// counterpart of the strip-packed [`crate::PackedAny`], used for accuracy
+/// round-trips.
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     precision: Precision,
@@ -341,684 +322,9 @@ pub fn quantize_roundtrip(m: &Matrix, precision: Precision) -> Matrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// QuantPackedB: strip-transposed quantized GEMM operand
-// ---------------------------------------------------------------------------
-
-/// `B` repacked into [`PackedB`]'s strip-transposed layout at reduced
-/// precision: `payload[s*d*NR + dd*NR + l] = Q(B[s*NR + l][dd])`, tails
-/// zero-padded. Int8 keeps one scale per *lane* (`scales[s*NR + l]` is row
-/// `s*NR + l`'s scale; padded lanes get 0), so the micro-kernel loads the
-/// strip's 8 scales once and reuses them across the whole depth walk.
-#[derive(Debug, Clone)]
-pub struct QuantPackedB {
-    precision: Precision,
-    /// binary16 payload (F16), else empty.
-    h: Vec<u16>,
-    /// int8 payload (Int8), else empty.
-    q: Vec<i8>,
-    /// Per-lane scales, `strips * NR` entries (Int8), else empty.
-    scales: Vec<f32>,
-    n: usize,
-    d: usize,
-}
-
-impl QuantPackedB {
-    /// Packs `b` (an `n x d` row-major matrix) at `precision` (must not be
-    /// [`Precision::F32`] — use [`PackedB::pack`] / [`PackedAny::pack`]).
-    /// Strip packing runs on the persistent pool.
-    pub fn pack(b: &Matrix, precision: Precision) -> QuantPackedB {
-        assert!(
-            precision != Precision::F32,
-            "QuantPackedB stores reduced precisions only"
-        );
-        let mut span = telemetry::span("quant.pack");
-        let (n, d) = b.shape();
-        let strips = n.div_ceil(NR);
-        let mut out = QuantPackedB {
-            precision,
-            h: Vec::new(),
-            q: Vec::new(),
-            scales: Vec::new(),
-            n,
-            d,
-        };
-        match precision {
-            Precision::F16 => {
-                out.h = vec![0u16; strips * d * NR];
-                pack_payload_f16(b.as_slice(), n, d, &mut out.h);
-            }
-            Precision::Int8 => {
-                out.q = vec![0i8; strips * d * NR];
-                out.scales = vec![0.0f32; strips * NR];
-                lane_scales(b.as_slice(), n, d, &mut out.scales);
-                pack_payload_i8(b.as_slice(), n, d, &out.scales, &mut out.q);
-            }
-            Precision::F32 => unreachable!(),
-        }
-        telemetry::add("quant.rows", n as u64);
-        telemetry::add("quant.packed_bytes", out.packed_bytes() as u64);
-        span.add_bytes(out.packed_bytes() as u64);
-        out
-    }
-
-    /// Storage precision of the payload.
-    #[inline]
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Valid row count of the packed operand.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Shared depth of the packed operand.
-    #[inline]
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// Number of [`NR`]-row strips (including the zero-padded tail strip).
-    #[inline]
-    pub fn strips(&self) -> usize {
-        self.n.div_ceil(NR)
-    }
-
-    /// Heap bytes held by the quantized payload + scales. The basis of the
-    /// bytes/entity claims: ~`d*2` per row for f16, ~`d + 4` for int8,
-    /// vs `d*4` for the f32 [`PackedB`].
-    pub fn packed_bytes(&self) -> usize {
-        self.h.len() * 2 + self.q.len() + self.scales.len() * 4
-    }
-
-    /// Strips per L2 cache panel — sized by the *element width*, so
-    /// narrower payloads keep proportionally more strips hot per panel
-    /// (f32 sizing here would over-allocate panels 2–4x).
-    #[inline]
-    pub fn panel_strips(&self) -> usize {
-        let strip_bytes = (self.d * NR * self.precision.elem_bytes()).max(1);
-        (PANEL_BYTES / strip_bytes).max(1)
-    }
-
-    #[inline]
-    fn strip_h(&self, s: usize) -> &[u16] {
-        &self.h[s * self.d * NR..(s + 1) * self.d * NR]
-    }
-
-    #[inline]
-    fn strip_q(&self, s: usize) -> &[i8] {
-        &self.q[s * self.d * NR..(s + 1) * self.d * NR]
-    }
-
-    #[inline]
-    fn strip_scales(&self, s: usize) -> [f32; NR] {
-        let mut out = [0.0f32; NR];
-        out.copy_from_slice(&self.scales[s * NR..(s + 1) * NR]);
-        out
-    }
-
-    /// The effective micro-kernel level for this payload: quantized
-    /// kernels have no FMA variant (they stay bitwise-exact), and the f16
-    /// vector kernel needs F16C on top of AVX2.
-    fn effective_level(&self, level: SimdLevel) -> SimdLevel {
-        let level = match level {
-            SimdLevel::Fma => SimdLevel::Avx2,
-            other => other,
-        };
-        if level == SimdLevel::Avx2
-            && self.precision == Precision::F16
-            && !crate::simd::has_f16c()
-        {
-            return SimdLevel::Scalar;
-        }
-        level
-    }
-
-    /// The vector tile loop, mirroring the f32 path: `MR_SIMD`-row blocks
-    /// with trailing row pointers clamped to the last valid row.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    fn block_into_simd(
-        &self,
-        a: &Matrix,
-        row0: usize,
-        rows: usize,
-        s0: usize,
-        s1: usize,
-        out: &mut [f32],
-        out_stride: usize,
-        col_base: usize,
-    ) -> u64 {
-        use crate::simd::MR_SIMD;
-        let mut tiles = 0u64;
-        let mut r = 0usize;
-        while r < rows {
-            let mr = MR_SIMD.min(rows - r);
-            let a_rows: [&[f32]; MR_SIMD] =
-                std::array::from_fn(|i| a.row(row0 + r + i.min(mr - 1)));
-            for s in s0..s1 {
-                let col = s * NR;
-                let valid = NR.min(self.n - col);
-                let mut acc = [[0.0f32; NR]; MR_SIMD];
-                // Safety: `effective_level` only routes here when the CPU
-                // has AVX2 (and F16C for the f16 payload), and every
-                // `a_rows[i]` has exactly `d` elements.
-                unsafe {
-                    match self.precision {
-                        Precision::F16 => {
-                            crate::simd::micro_avx2_f16(&a_rows, self.strip_h(s), &mut acc)
-                        }
-                        Precision::Int8 => crate::simd::micro_avx2_i8(
-                            &a_rows,
-                            self.strip_q(s),
-                            &self.strip_scales(s),
-                            &mut acc,
-                        ),
-                        Precision::F32 => unreachable!(),
-                    }
-                }
-                for i in 0..mr {
-                    let dst_start = (r + i) * out_stride + (col - col_base);
-                    out[dst_start..dst_start + valid].copy_from_slice(&acc[i][..valid]);
-                }
-                tiles += 1;
-            }
-            r += mr;
-        }
-        tiles
-    }
-}
-
-/// Scalar dequantize-fused micro-kernel for an f16 strip: each depth chunk
-/// of [`NR`] halves is widened to f32 (exact) into registers, then
-/// accumulated exactly like the f32 reference kernel — strict depth order,
-/// separate multiply and add per lane.
-#[inline]
-fn micro_f16<const MRV: usize>(a_rows: [&[f32]; MRV], strip: &[u16]) -> [[f32; NR]; MRV] {
-    let mut acc = [[0.0f32; NR]; MRV];
-    for (dd, h8) in strip.chunks_exact(NR).enumerate() {
-        let mut b8 = [0.0f32; NR];
-        for l in 0..NR {
-            b8[l] = f16_bits_to_f32(h8[l]);
-        }
-        for i in 0..MRV {
-            let av = a_rows[i][dd];
-            for l in 0..NR {
-                acc[i][l] += av * b8[l];
-            }
-        }
-    }
-    acc
-}
-
-/// Scalar dequantize-fused micro-kernel for an int8 strip: per lane,
-/// `deq = (q as f32) * scale[l]` (one rounding), then `acc += a * deq` —
-/// the exact per-lane operation sequence of the AVX2 kernel.
-#[inline]
-fn micro_i8<const MRV: usize>(
-    a_rows: [&[f32]; MRV],
-    strip: &[i8],
-    scales: &[f32; NR],
-) -> [[f32; NR]; MRV] {
-    let mut acc = [[0.0f32; NR]; MRV];
-    for (dd, q8) in strip.chunks_exact(NR).enumerate() {
-        let mut b8 = [0.0f32; NR];
-        for l in 0..NR {
-            b8[l] = q8[l] as f32 * scales[l];
-        }
-        for i in 0..MRV {
-            let av = a_rows[i][dd];
-            for l in 0..NR {
-                acc[i][l] += av * b8[l];
-            }
-        }
-    }
-    acc
-}
-
-impl PackedOperand for QuantPackedB {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn d(&self) -> usize {
-        self.d
-    }
-
-    fn packed_bytes(&self) -> usize {
-        QuantPackedB::packed_bytes(self)
-    }
-
-    fn panel_strips(&self) -> usize {
-        QuantPackedB::panel_strips(self)
-    }
-
-    fn block_into(
-        &self,
-        a: &Matrix,
-        row0: usize,
-        rows: usize,
-        s0: usize,
-        s1: usize,
-        out: &mut [f32],
-        out_stride: usize,
-        col_base: usize,
-        level: SimdLevel,
-    ) -> u64 {
-        let level = self.effective_level(level);
-        #[cfg(target_arch = "x86_64")]
-        if level != SimdLevel::Scalar {
-            return self.block_into_simd(a, row0, rows, s0, s1, out, out_stride, col_base);
-        }
-        let _ = level;
-        let mut tiles = 0u64;
-        let mut r = 0usize;
-        while r < rows {
-            let mr = MR.min(rows - r);
-            // Clamp trailing row pointers to the last valid row (results
-            // for the duplicate rows are computed but not stored), keeping
-            // the micro-kernel a single fixed-arity hot loop.
-            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a.row(row0 + r + i.min(mr - 1)));
-            for s in s0..s1 {
-                let col = s * NR;
-                let valid = NR.min(self.n - col);
-                let acc = match self.precision {
-                    Precision::F16 => micro_f16::<MR>(a_rows, self.strip_h(s)),
-                    Precision::Int8 => {
-                        micro_i8::<MR>(a_rows, self.strip_q(s), &self.strip_scales(s))
-                    }
-                    Precision::F32 => unreachable!(),
-                };
-                for i in 0..mr {
-                    let dst_start = (r + i) * out_stride + (col - col_base);
-                    out[dst_start..dst_start + valid].copy_from_slice(&acc[i][..valid]);
-                }
-                tiles += 1;
-            }
-            r += mr;
-        }
-        tiles
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Strip-packing helpers (shared by pack() and the chunked builder)
-// ---------------------------------------------------------------------------
-
-/// Fills per-lane int8 scales for rows `0..valid` of `src` (`valid * d`
-/// contiguous f32s whose row 0 sits on a strip boundary). Padded lanes
-/// keep scale 0.
-fn lane_scales(src: &[f32], valid: usize, d: usize, scales: &mut [f32]) {
-    for r in 0..valid {
-        scales[r] = int8_row_scale(&src[r * d..(r + 1) * d]);
-    }
-}
-
-/// Packs rows `0..valid` of `src` into f16 strip layout. `out` covers
-/// `valid.div_ceil(NR)` strips and must be zero-initialized (tail lanes
-/// stay zero). Strip filling parallelizes on the pool.
-fn pack_payload_f16(src: &[f32], valid: usize, d: usize, out: &mut [u16]) {
-    if valid == 0 || d == 0 {
-        return;
-    }
-    let grain = Grain::for_item_cost(d * NR);
-    par_row_chunks_mut_grained(out, d * NR, grain, |strip0, chunk| {
-        for (si, strip) in chunk.chunks_exact_mut(d * NR).enumerate() {
-            let s = strip0 + si;
-            let lanes = NR.min(valid - s * NR);
-            for l in 0..lanes {
-                let row = &src[(s * NR + l) * d..(s * NR + l + 1) * d];
-                for (dd, &v) in row.iter().enumerate() {
-                    strip[dd * NR + l] = f32_to_f16_bits(v);
-                }
-            }
-        }
-    });
-}
-
-/// Packs rows `0..valid` of `src` into int8 strip layout against
-/// precomputed per-lane `scales`. Same contract as [`pack_payload_f16`].
-fn pack_payload_i8(src: &[f32], valid: usize, d: usize, scales: &[f32], out: &mut [i8]) {
-    if valid == 0 || d == 0 {
-        return;
-    }
-    let grain = Grain::for_item_cost(d * NR);
-    par_row_chunks_mut_grained(out, d * NR, grain, |strip0, chunk| {
-        for (si, strip) in chunk.chunks_exact_mut(d * NR).enumerate() {
-            let s = strip0 + si;
-            let lanes = NR.min(valid - s * NR);
-            for l in 0..lanes {
-                let scale = scales[s * NR + l];
-                let row = &src[(s * NR + l) * d..(s * NR + l + 1) * d];
-                for (dd, &v) in row.iter().enumerate() {
-                    strip[dd * NR + l] = quantize_value_int8(v, scale);
-                }
-            }
-        }
-    });
-}
-
-/// Packs rows `0..valid` of `src` into f32 strip layout (for the chunked
-/// f32 builder path; [`PackedB::pack`] covers the one-shot case).
-fn pack_payload_f32(src: &[f32], valid: usize, d: usize, out: &mut [f32]) {
-    if valid == 0 || d == 0 {
-        return;
-    }
-    let grain = Grain::for_item_cost(d * NR);
-    par_row_chunks_mut_grained(out, d * NR, grain, |strip0, chunk| {
-        for (si, strip) in chunk.chunks_exact_mut(d * NR).enumerate() {
-            let s = strip0 + si;
-            let lanes = NR.min(valid - s * NR);
-            for l in 0..lanes {
-                let row = &src[(s * NR + l) * d..(s * NR + l + 1) * d];
-                for (dd, &v) in row.iter().enumerate() {
-                    strip[dd * NR + l] = v;
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// PackedAny: precision-polymorphic packed operand
-// ---------------------------------------------------------------------------
-
-/// A packed GEMM right operand at any storage precision — what IVF posting
-/// lists and the pipeline similarity stage store, so one code path handles
-/// full and reduced precision.
-#[derive(Debug, Clone)]
-pub enum PackedAny {
-    /// Full-precision f32 strips.
-    F32(PackedB),
-    /// Quantized strips (f16 or int8).
-    Quant(QuantPackedB),
-}
-
-impl PackedAny {
-    /// Packs `b` at `precision`.
-    pub fn pack(b: &Matrix, precision: Precision) -> PackedAny {
-        match precision {
-            Precision::F32 => PackedAny::F32(PackedB::pack(b)),
-            _ => PackedAny::Quant(QuantPackedB::pack(b, precision)),
-        }
-    }
-
-    /// Storage precision of the payload.
-    pub fn precision(&self) -> Precision {
-        match self {
-            PackedAny::F32(_) => Precision::F32,
-            PackedAny::Quant(q) => q.precision(),
-        }
-    }
-
-    /// Valid row count of the packed operand.
-    pub fn n(&self) -> usize {
-        match self {
-            PackedAny::F32(p) => p.n(),
-            PackedAny::Quant(q) => q.n(),
-        }
-    }
-
-    /// Shared depth of the packed operand.
-    pub fn d(&self) -> usize {
-        match self {
-            PackedAny::F32(p) => p.d(),
-            PackedAny::Quant(q) => q.d(),
-        }
-    }
-
-    /// Heap bytes held by the packed payload (+ scales for int8).
-    pub fn packed_bytes(&self) -> usize {
-        match self {
-            PackedAny::F32(p) => p.packed_bytes(),
-            PackedAny::Quant(q) => q.packed_bytes(),
-        }
-    }
-}
-
-impl PackedOperand for PackedAny {
-    fn n(&self) -> usize {
-        PackedAny::n(self)
-    }
-
-    fn d(&self) -> usize {
-        PackedAny::d(self)
-    }
-
-    fn packed_bytes(&self) -> usize {
-        PackedAny::packed_bytes(self)
-    }
-
-    fn panel_strips(&self) -> usize {
-        match self {
-            PackedAny::F32(p) => p.panel_strips(),
-            PackedAny::Quant(q) => q.panel_strips(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn block_into(
-        &self,
-        a: &Matrix,
-        row0: usize,
-        rows: usize,
-        s0: usize,
-        s1: usize,
-        out: &mut [f32],
-        out_stride: usize,
-        col_base: usize,
-        level: SimdLevel,
-    ) -> u64 {
-        match self {
-            PackedAny::F32(p) => {
-                p.block_into(a, row0, rows, s0, s1, out, out_stride, col_base, level)
-            }
-            PackedAny::Quant(q) => {
-                q.block_into(a, row0, rows, s0, s1, out, out_stride, col_base, level)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked packing: out-of-core snapshot streaming
-// ---------------------------------------------------------------------------
-
-/// Incrementally packs row chunks into a [`PackedAny`] without ever
-/// holding the full f32 operand: a strip depends only on its own [`NR`]
-/// consecutive rows, so each appended chunk packs its full strips
-/// immediately and only a `< NR`-row carry buffer persists between
-/// appends. Aux memory above the (quantized) output is O(chunk).
-#[derive(Debug)]
-pub struct PackedBuilder {
-    precision: Precision,
-    d: usize,
-    /// Rows packed into full strips so far (multiple of `NR`).
-    packed_rows: usize,
-    /// `< NR` trailing rows awaiting the next append (row-major f32).
-    carry: Vec<f32>,
-    f: Vec<f32>,
-    h: Vec<u16>,
-    q: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl PackedBuilder {
-    /// Starts a builder for `d`-dimensional rows at `precision`.
-    pub fn new(precision: Precision, d: usize) -> PackedBuilder {
-        PackedBuilder::with_capacity(precision, d, 0)
-    }
-
-    /// Starts a builder pre-reserving payload for `rows_hint` total rows
-    /// (e.g. from a snapshot header), so streamed appends never reallocate
-    /// and peak aux stays O(chunk).
-    pub fn with_capacity(precision: Precision, d: usize, rows_hint: usize) -> PackedBuilder {
-        let strips_hint = rows_hint.div_ceil(NR);
-        let elems_hint = strips_hint * d * NR;
-        let mut b = PackedBuilder {
-            precision,
-            d,
-            packed_rows: 0,
-            carry: Vec::new(),
-            f: Vec::new(),
-            h: Vec::new(),
-            q: Vec::new(),
-            scales: Vec::new(),
-        };
-        match precision {
-            Precision::F32 => b.f.reserve_exact(elems_hint),
-            Precision::F16 => b.h.reserve_exact(elems_hint),
-            Precision::Int8 => {
-                b.q.reserve_exact(elems_hint);
-                b.scales.reserve_exact(strips_hint * NR);
-            }
-        }
-        b
-    }
-
-    /// Rows appended so far.
-    pub fn rows(&self) -> usize {
-        self.packed_rows + self.carry.len() / self.d.max(1)
-    }
-
-    /// Appends a chunk of rows (its column count must match `d`).
-    pub fn append(&mut self, chunk: &Matrix) -> Result<()> {
-        if chunk.cols() != self.d {
-            return Err(LinalgError::DimMismatch {
-                op: "quant_pack_append",
-                left: (self.rows(), self.d),
-                right: chunk.shape(),
-            });
-        }
-        if chunk.rows() == 0 {
-            return Ok(());
-        }
-        if self.carry.is_empty() && chunk.rows() % NR == 0 {
-            // Fast path: strip-aligned chunk, pack straight from it.
-            self.pack_full_strips(chunk.as_slice(), chunk.rows());
-            return Ok(());
-        }
-        self.carry.extend_from_slice(chunk.as_slice());
-        let rows = self.carry.len() / self.d.max(1);
-        let full = (rows / NR) * NR;
-        if full > 0 {
-            let tail = self.carry.split_off(full * self.d);
-            let head = std::mem::replace(&mut self.carry, tail);
-            self.pack_full_strips(&head, full);
-        }
-        Ok(())
-    }
-
-    /// Packs `rows` (a multiple of `NR`) contiguous rows into new strips.
-    fn pack_full_strips(&mut self, src: &[f32], rows: usize) {
-        let strips = rows / NR;
-        let elems = strips * self.d * NR;
-        match self.precision {
-            Precision::F32 => {
-                let start = self.f.len();
-                self.f.resize(start + elems, 0.0);
-                pack_payload_f32(src, rows, self.d, &mut self.f[start..]);
-            }
-            Precision::F16 => {
-                let start = self.h.len();
-                self.h.resize(start + elems, 0);
-                pack_payload_f16(src, rows, self.d, &mut self.h[start..]);
-            }
-            Precision::Int8 => {
-                let sstart = self.scales.len();
-                self.scales.resize(sstart + strips * NR, 0.0);
-                lane_scales(src, rows, self.d, &mut self.scales[sstart..]);
-                let start = self.q.len();
-                self.q.resize(start + elems, 0);
-                pack_payload_i8(src, rows, self.d, &self.scales[sstart..], &mut self.q[start..]);
-            }
-        }
-        self.packed_rows += rows;
-    }
-
-    /// Finishes the operand, packing any `< NR`-row carry into a final
-    /// zero-padded strip, and records `quant.packed_bytes`/`quant.rows`.
-    pub fn finish(mut self) -> PackedAny {
-        let d = self.d;
-        let carry_rows = if d == 0 { 0 } else { self.carry.len() / d };
-        if carry_rows > 0 {
-            let src = std::mem::take(&mut self.carry);
-            let elems = d * NR;
-            match self.precision {
-                Precision::F32 => {
-                    let start = self.f.len();
-                    self.f.resize(start + elems, 0.0);
-                    pack_payload_f32(&src, carry_rows, d, &mut self.f[start..]);
-                }
-                Precision::F16 => {
-                    let start = self.h.len();
-                    self.h.resize(start + elems, 0);
-                    pack_payload_f16(&src, carry_rows, d, &mut self.h[start..]);
-                }
-                Precision::Int8 => {
-                    let sstart = self.scales.len();
-                    self.scales.resize(sstart + NR, 0.0);
-                    lane_scales(&src, carry_rows, d, &mut self.scales[sstart..]);
-                    let start = self.q.len();
-                    self.q.resize(start + elems, 0);
-                    pack_payload_i8(&src, carry_rows, d, &self.scales[sstart..], &mut self.q[start..]);
-                }
-            }
-        }
-        let n = self.packed_rows + carry_rows;
-        let out = match self.precision {
-            Precision::F32 => {
-                telemetry::add("gemm.packed_bytes", (self.f.len() * 4) as u64);
-                PackedAny::F32(PackedB::from_raw(self.f, n, d))
-            }
-            precision => {
-                let q = QuantPackedB {
-                    precision,
-                    h: self.h,
-                    q: self.q,
-                    scales: self.scales,
-                    n,
-                    d,
-                };
-                telemetry::add("quant.rows", n as u64);
-                telemetry::add("quant.packed_bytes", q.packed_bytes() as u64);
-                PackedAny::Quant(q)
-            }
-        };
-        out
-    }
-}
-
-/// Streams a snapshot file into a packed operand in `chunk_rows`-row
-/// chunks: each chunk is buffered-read, quantize-packed on the pool, and
-/// dropped, so aux memory above the packed output is O(chunk), independent
-/// of snapshot size. Emits a `quant.pack` span with `quant.stream.chunks`.
-pub fn pack_snapshot_stream(
-    path: &std::path::Path,
-    precision: Precision,
-    chunk_rows: usize,
-) -> Result<PackedAny> {
-    let mut span = telemetry::span("quant.pack");
-    let mut reader = SnapshotReader::open(path)?;
-    let chunk_rows = chunk_rows.max(1);
-    let mut builder = PackedBuilder::with_capacity(precision, reader.cols(), reader.rows());
-    let mut chunks = 0u64;
-    while let Some(chunk) = reader.next_chunk(chunk_rows)? {
-        builder.append(&chunk)?;
-        chunks += 1;
-    }
-    telemetry::add("quant.stream.chunks", chunks);
-    let packed = builder.finish();
-    span.add_bytes(packed.packed_bytes() as u64);
-    Ok(packed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::matmul_blocked_packed;
 
     fn seq_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -1089,104 +395,6 @@ mod tests {
         let s = int8_row_scale(&[-0.375]);
         assert_eq!(quantize_value_int8(-0.375, s), -127);
         assert!((dequantize_value_int8(-127, s) - -0.375).abs() < 1e-7);
-    }
-
-    #[test]
-    fn quantized_gemm_equals_dense_product_of_roundtripped_operand() {
-        // The dequantize-fused kernel must produce exactly the scores of a
-        // full-precision GEMM against the dequantized operand — fusion
-        // changes memory traffic, never values.
-        let a = seq_matrix(13, 19, 0);
-        let b = seq_matrix(21, 19, 5);
-        for precision in [Precision::F16, Precision::Int8] {
-            let qp = QuantPackedB::pack(&b, precision);
-            let fused = matmul_blocked_packed(&a, &qp).unwrap();
-            let roundtripped = quantize_roundtrip(&b, precision);
-            let reference = matmul_blocked_packed(&a, &PackedB::pack(&roundtripped)).unwrap();
-            assert_eq!(fused, reference, "{}", precision.name());
-        }
-    }
-
-    #[test]
-    fn panel_strips_scale_with_element_width() {
-        let b = seq_matrix(64, 128, 1);
-        let f32_strips = PackedB::pack(&b).panel_strips();
-        let f16_strips = QuantPackedB::pack(&b, Precision::F16).panel_strips();
-        let i8_strips = QuantPackedB::pack(&b, Precision::Int8).panel_strips();
-        assert_eq!(f16_strips, f32_strips * 2);
-        assert_eq!(i8_strips, f32_strips * 4);
-    }
-
-    #[test]
-    fn packed_bytes_shrink_by_element_width() {
-        let b = seq_matrix(512, 64, 2);
-        let f32_bytes = PackedB::pack(&b).packed_bytes() as f64;
-        let f16_bytes = QuantPackedB::pack(&b, Precision::F16).packed_bytes() as f64;
-        let i8_bytes = QuantPackedB::pack(&b, Precision::Int8).packed_bytes() as f64;
-        assert_eq!(f16_bytes, f32_bytes / 2.0);
-        assert!(f32_bytes / i8_bytes >= 3.5, "int8 ratio {}", f32_bytes / i8_bytes);
-    }
-
-    #[test]
-    fn builder_matches_one_shot_pack_across_chunkings() {
-        let b = seq_matrix(53, 11, 7);
-        let a = seq_matrix(9, 11, 8);
-        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
-            let reference =
-                matmul_blocked_packed(&a, &PackedAny::pack(&b, precision)).unwrap();
-            // Chunk sizes that are strip-aligned, misaligned, and > n.
-            for chunk in [1usize, 5, 8, 24, 100] {
-                let mut builder = PackedBuilder::with_capacity(precision, 11, b.rows());
-                let mut r = 0;
-                while r < b.rows() {
-                    let rows = chunk.min(b.rows() - r);
-                    let chunk_m = Matrix::from_fn(rows, 11, |i, c| b.get(r + i, c));
-                    builder.append(&chunk_m).unwrap();
-                    r += rows;
-                }
-                let packed = builder.finish();
-                assert_eq!(packed.n(), b.rows());
-                assert_eq!(
-                    matmul_blocked_packed(&a, &packed).unwrap(),
-                    reference,
-                    "{} chunk={chunk}",
-                    precision.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn builder_rejects_width_mismatch_and_handles_empty() {
-        let mut builder = PackedBuilder::new(Precision::Int8, 4);
-        assert!(builder.append(&Matrix::zeros(2, 5)).is_err());
-        builder.append(&Matrix::zeros(0, 4)).unwrap();
-        let packed = builder.finish();
-        assert_eq!(packed.n(), 0);
-        assert_eq!(packed.packed_bytes(), 0);
-    }
-
-    #[test]
-    fn snapshot_stream_pack_equals_in_memory_pack() {
-        let b = seq_matrix(41, 7, 9);
-        let a = seq_matrix(6, 7, 10);
-        let dir = std::env::temp_dir().join(format!("entmatcher-quant-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.emb");
-        std::fs::write(&path, crate::snapshot::to_bytes(&b)).unwrap();
-        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
-            let streamed = pack_snapshot_stream(&path, precision, 12).unwrap();
-            let reference = PackedAny::pack(&b, precision);
-            assert_eq!(streamed.n(), reference.n());
-            assert_eq!(streamed.packed_bytes(), reference.packed_bytes());
-            assert_eq!(
-                matmul_blocked_packed(&a, &streamed).unwrap(),
-                matmul_blocked_packed(&a, &reference).unwrap(),
-                "{}",
-                precision.name()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

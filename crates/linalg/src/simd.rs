@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD micro-kernels for the blocked GEMM.
 //!
-//! The scalar micro-kernel in [`crate::gemm`] is the ground truth: it
+//! The scalar micro-kernel in [`crate::packed`] is the ground truth: it
 //! accumulates each output element strictly in depth order, which makes
 //! the blocked kernel bit-identical to the naive sequential `dot`. The
 //! vector kernels here preserve that contract by vectorizing **across the
@@ -218,7 +218,7 @@ pub(crate) unsafe fn micro_fma(a_rows: &[&[f32]; MR_SIMD], strip: &[f32], out: &
 /// chunk of [`NR`] halves is widened with `vcvtph2ps` (exact, so it agrees
 /// bit-for-bit with the scalar software conversion), then accumulated with
 /// separate multiply and add — bitwise identical to the scalar
-/// dequantize-fused reference in [`crate::quant`].
+/// dequantize-fused reference in [`crate::packed`].
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 and F16C and that each

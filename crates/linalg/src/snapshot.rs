@@ -118,7 +118,7 @@ fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize)> {
 /// Streams a snapshot in fixed-size row chunks — the out-of-core load
 /// path. The header is parsed eagerly so [`SnapshotReader::rows`] /
 /// [`SnapshotReader::cols`] can size downstream buffers (e.g.
-/// [`crate::quant::PackedBuilder::with_capacity`]) before any payload is
+/// [`crate::packed::PackedBuilder::with_capacity`]) before any payload is
 /// read; the payload is then consumed chunk by chunk through one reused
 /// byte buffer, so aux memory is O(chunk), independent of snapshot size.
 #[derive(Debug)]

@@ -8,11 +8,12 @@
 //! tiling boundary: below MR (4), below NR (8), non-multiples of both
 //! (3, 7, 17), a full tile multiple (64), and the empty edge (0).
 
-use entmatcher_linalg::{
-    fused_argmax_affine, fused_topk, fused_topk_means, matmul_blocked, matmul_naive, Matrix,
-};
 use entmatcher_linalg::rank::top_k_mean;
 use entmatcher_linalg::{argmax, top_k_desc};
+use entmatcher_linalg::{
+    fused_argmax_affine_packed, fused_topk, fused_topk_means_packed, matmul_blocked, matmul_naive,
+    Matrix, PackedAny, Precision,
+};
 use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
 
 const SIZES: [usize; 6] = [0, 1, 3, 7, 17, 64];
@@ -24,6 +25,10 @@ fn patterned(rows: usize, cols: usize, salt: usize) -> Matrix {
         let x = (r * 31 + c * 17 + salt * 7) % 23;
         (x as f32 - 11.0) * 0.25
     })
+}
+
+fn pack(b: &Matrix) -> PackedAny {
+    PackedAny::pack(b, Precision::F32)
 }
 
 fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -102,12 +107,12 @@ fn fused_means_and_argmax_match_dense_reductions() {
     let b = random(n, d, 32);
     let dense = matmul_naive(&a, &b).unwrap();
 
-    let means = fused_topk_means(&a, &b, k).unwrap();
+    let means = fused_topk_means_packed(&a, &pack(&b), k).unwrap();
     for i in 0..m {
         assert_eq!(means[i], top_k_mean(dense.row(i), k), "row {i} mean");
     }
 
-    let picks = fused_argmax_affine(&a, &b, 1.0, None, None).unwrap();
+    let picks = fused_argmax_affine_packed(&a, &pack(&b), 1.0, None, None).unwrap();
     for i in 0..m {
         assert_eq!(picks[i].map(|j| j as usize), argmax(dense.row(i)), "row {i} argmax");
     }
@@ -124,7 +129,8 @@ fn fused_affine_offsets_match_dense_corrected_argmax() {
     let row_off: Vec<f32> = (0..m).map(|i| -((i % 5) as f32) * 0.1).collect();
     let col_off: Vec<f32> = (0..n).map(|j| -((j % 7) as f32) * 0.05).collect();
     let dense = matmul_naive(&a, &b).unwrap();
-    let picks = fused_argmax_affine(&a, &b, 2.0, Some(&row_off), Some(&col_off)).unwrap();
+    let picks =
+        fused_argmax_affine_packed(&a, &pack(&b), 2.0, Some(&row_off), Some(&col_off)).unwrap();
     for i in 0..m {
         let corrected: Vec<f32> = (0..n)
             .map(|j| (2.0 * dense.get(i, j) + row_off[i]) + col_off[j])
@@ -144,7 +150,7 @@ fn empty_operands_are_well_formed_everywhere() {
     assert_eq!(empty_rows.len(), 5);
     assert!(empty_rows.iter().all(Vec::is_empty));
     assert_eq!(
-        fused_argmax_affine(&b, &a, 1.0, None, None).unwrap(),
+        fused_argmax_affine_packed(&b, &pack(&a), 1.0, None, None).unwrap(),
         vec![None; 5]
     );
 }

@@ -29,38 +29,50 @@ cargo test -q --offline --workspace
 echo "verify: re-running tests with ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"
 ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off cargo test -q --offline --workspace
 
+# Named test groups: each runs one filtered `cargo test` under an env
+# prefix ("" for defaults). cargo exits 0 when a filter matches no test,
+# so a renamed or deleted test would silently empty its group; run_group
+# fails unless at least one test ran.
+DEGENERATE="ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"
+run_group() {
+    GROUP_ENV=$1
+    shift
+    GROUP_LOG=$(env $GROUP_ENV cargo test -q --offline "$@" 2>&1) || {
+        echo "$GROUP_LOG" >&2
+        echo "verify: test group failed: $GROUP_ENV cargo test $*" >&2
+        exit 1
+    }
+    echo "$GROUP_LOG" | grep -q "^running [1-9][0-9]* tests*$" || {
+        echo "$GROUP_LOG" >&2
+        echo "verify: test group ran no tests: $GROUP_ENV cargo test $*" >&2
+        exit 1
+    }
+}
+
 # ANN candidate-generation group, called out by name: k-means training
 # parallelizes over fixed-size row chunks and the oracle recall floors
 # are bitwise/statistical claims, so this group in particular must hold
 # under the degenerate execution config — a thread-count- or SIMD-
 # dependent result here is a correctness bug, not a perf difference.
 echo "verify: ANN test group (defaults)"
-cargo test -q --offline -p entmatcher-core --lib ann
-cargo test -q --offline -p entmatcher-core --test ann_recall
+run_group "" -p entmatcher-core --lib ann
+run_group "" -p entmatcher-core --test ann_recall
 echo "verify: ANN test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib ann
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --test ann_recall
+run_group "$DEGENERATE" -p entmatcher-core --lib ann
+run_group "$DEGENERATE" -p entmatcher-core --test ann_recall
 
 # Quantized-storage test group, called out by name: the f16/int8 packed
-# operands carry bitwise scalar-vs-AVX2 identity claims and the snapshot
-# streaming path carries bitwise in-memory-equality claims, so the whole
-# group must hold identically under the degenerate execution config.
-echo "verify: quantized test group (defaults)"
-cargo test -q --offline -p entmatcher-linalg --lib quant
-cargo test -q --offline -p entmatcher-linalg --test quant_proptests
-cargo test -q --offline -p entmatcher-core --lib quantized
-cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
-echo "verify: quantized test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-linalg --lib quant
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-linalg --test quant_proptests
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib quantized
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
+# operands carry bitwise scalar-vs-AVX2 identity claims and the planned
+# pipeline carries bitwise fused-equals-dense claims at every precision
+# (the plan_equivalence tests), so the whole group must hold identically
+# under the degenerate execution config.
+for MODE_ENV in "" "$DEGENERATE"; do
+    echo "verify: quantized test group (${MODE_ENV:-defaults})"
+    run_group "$MODE_ENV" -p entmatcher-linalg --lib quant
+    run_group "$MODE_ENV" -p entmatcher-linalg --test quant_proptests
+    run_group "$MODE_ENV" -p entmatcher-core --lib quantized
+    run_group "$MODE_ENV" -p entmatcher-core --lib plan_equivalence
+done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
 # check the exported JSON parses and contains the pipeline stage spans.
@@ -319,20 +331,13 @@ done
 # the serial fast path, and the measured-vs-modeled cross-check harness
 # is exactly the kind of claim that must not depend on thread count or
 # SIMD level.
-echo "verify: memory test group (defaults)"
-cargo test -q --offline -p entmatcher-support --lib alloc
-cargo test -q --offline -p entmatcher-support --test alloc
-cargo test -q --offline -p entmatcher-support --test alloc_off
-cargo test -q --offline -p entmatcher-core --test memory_model
-echo "verify: memory test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --lib alloc
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --test alloc
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --test alloc_off
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --test memory_model
+for MODE_ENV in "" "$DEGENERATE"; do
+    echo "verify: memory test group (${MODE_ENV:-defaults})"
+    run_group "$MODE_ENV" -p entmatcher-support --lib alloc
+    run_group "$MODE_ENV" -p entmatcher-support --test alloc
+    run_group "$MODE_ENV" -p entmatcher-support --test alloc_off
+    run_group "$MODE_ENV" -p entmatcher-core --test memory_model
+done
 
 # Measured-memory smoke, in both execution configs: an ENTMATCHER_MEM=1
 # match must report its measured peak, put heap columns in the rendered

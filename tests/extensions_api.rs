@@ -1,11 +1,10 @@
-//! Facade-level integration of the extension APIs: streaming matching,
-//! LSH blocking, multi-assignment matchers, ranking metrics, geometry
+//! Facade-level integration of the extension APIs: fused-route (streaming)
+//! matching, LSH blocking, multi-assignment matchers, ranking metrics, geometry
 //! diagnostics and bootstrap significance — all driven through the public
 //! `entmatcher` crate exactly as a downstream user would.
 
 use entmatcher::core::blocking::LshBlocker;
-use entmatcher::core::streaming::{streaming_csls, streaming_greedy};
-use entmatcher::core::{similarity_matrix, ProbabilisticMatcher, ThresholdMatcher};
+use entmatcher::core::{similarity_matrix, NoOp, Plan, ProbabilisticMatcher, ThresholdMatcher};
 use entmatcher::eval::geometry::geometry_report;
 use entmatcher::eval::ranking::ranking_report;
 use entmatcher::eval::significance::{bootstrap_f1, bootstrap_f1_difference};
@@ -21,21 +20,31 @@ fn prepared() -> (KgPair, MatchTask, Matrix, Matrix) {
 }
 
 #[test]
-fn streaming_kernels_agree_with_dense_pipelines() {
+fn planned_pipelines_agree_with_dense_composition() {
     let (_, task, src, tgt) = prepared();
     let ctx = MatchContext::default();
-    let dense_dinf = AlgorithmPreset::DInf.build().execute(&src, &tgt, &ctx).matching;
-    let stream_dinf = streaming_greedy(&src, &tgt, SimilarityMetric::Cosine, 256);
-    assert_eq!(dense_dinf, stream_dinf);
-
-    let dense_csls = AlgorithmPreset::Csls.build().execute(&src, &tgt, &ctx).matching;
-    let stream_csls = streaming_csls(&src, &tgt, SimilarityMetric::Cosine, 10, 256);
-    assert_eq!(dense_csls, stream_csls);
+    // The dense composition the fused route replaces, layer by layer.
+    let dense = |optimizer: &dyn ScoreOptimizer| {
+        let scores = similarity_matrix(&src, &tgt, SimilarityMetric::Cosine);
+        Greedy.run(&optimizer.apply(scores), &ctx)
+    };
+    let planned = |preset: AlgorithmPreset| {
+        let pipeline = preset.build();
+        assert!(
+            matches!(pipeline.plan(), Plan::Fused(_)),
+            "{preset:?} must fuse"
+        );
+        pipeline.execute(&src, &tgt, &ctx).matching
+    };
+    assert_eq!(planned(AlgorithmPreset::DInf), dense(&NoOp));
+    let fused_csls = planned(AlgorithmPreset::Csls);
+    let dense_csls = dense(&Csls::default());
+    assert_eq!(fused_csls, dense_csls);
 
     // Equal decisions imply equal F1 — the scalability extension costs
     // nothing in quality.
     let f1 = |m: &Matching| evaluate_links(&task.matching_to_links(m), &task.gold).f1;
-    assert_eq!(f1(&dense_csls), f1(&stream_csls));
+    assert_eq!(f1(&fused_csls), f1(&dense_csls));
 }
 
 #[test]
